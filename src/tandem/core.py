@@ -401,7 +401,11 @@ def record_to_json(rec: ActionRecord) -> str:
 
 
 def record_from_json(line: str) -> ActionRecord:
-    doc = json.loads(line)
+    return record_from_doc(json.loads(line))
+
+
+def record_from_doc(doc: dict) -> ActionRecord:
+    """Build a record from an already parsed log line."""
     return ActionRecord(
         id=doc["id"],
         concept=doc["concept"],
@@ -417,5 +421,9 @@ def edge_to_json(edge: SyncEdge) -> str:
 
 
 def edge_from_json(line: str) -> SyncEdge:
-    doc = json.loads(line)
+    return edge_from_doc(json.loads(line))
+
+
+def edge_from_doc(doc: dict) -> SyncEdge:
+    """Build an edge from an already parsed log line."""
     return SyncEdge(from_id=doc["from"], sync=doc["sync"], to_id=doc["to"])

@@ -1,12 +1,18 @@
 """The synchronization engine.
 
-Completions land on a queue. Each step pops one and matches it against every
-rule: the when patterns must all be satisfied by completions of the same flow,
-the where clause is evaluated against current concept state, and each
-surviving frame instantiates the then templates as fresh invocations, wired
-back to their causes by provenance edges labeled with the rule name. Every
-record and edge is appended to a JSON-lines log before it takes effect, so a
-crashed run can be replayed into the exact same action graph.
+Completions land on a queue. Each step pops one and matches it against the
+rules that name its concept and action in a when pattern: the when patterns
+must all be satisfied by completions of the same flow, the where clause is
+evaluated against current concept state, and each surviving frame
+instantiates the then templates as fresh invocations, wired back to their
+causes by provenance edges labeled with the rule name. Every record and edge
+is appended to a JSON-lines log before it takes effect, so a crashed run can
+be replayed into the exact same action graph.
+
+Each rule is compiled once, when it is registered: its concept names are
+qualified to IRIs and it is filed under every (concept IRI, action) its when
+patterns name. Records and edges are indexed by flow, so matching a
+completion and tracing a flow cost as much as that flow, not the history.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from .core import (
     Ref,
     Schema,
     SyncEdge,
-    edge_from_json,
+    edge_from_doc,
     edge_to_json,
     new_flow,
     new_id,
     qualify,
-    record_from_json,
+    record_from_doc,
     record_to_json,
     record_to_quads,
     to_jsonable,
@@ -81,6 +87,15 @@ class FlowTrace:
 
     def sync_labels(self) -> set:
         return {e.sync for e in self.edges}
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A SyncDef with its concept names qualified, compiled at registration."""
+
+    sync: SyncDef
+    when: tuple  # ((concept iri, action, inputs, outputs), ...)
+    then: tuple  # ((concept iri, action, fields), ...)
 
 
 _MISSING = object()
@@ -188,6 +203,11 @@ class Engine:
         self.syncs: list[SyncDef] = []
         self.records: dict[str, ActionRecord] = {}  # insertion order = log order
         self.edges: list[SyncEdge] = []
+        # per flow: its records (in self.records order) and the edges leaving them
+        self._by_flow: dict[str, dict[str, ActionRecord]] = {}
+        self._edges_by_flow: dict[str, list[SyncEdge]] = {}
+        # (concept iri, action) -> rules with a when pattern on it, in registration order
+        self._triggers: dict[tuple, list[_Rule]] = {}
         self.fired: set = set()
         self.queue: deque = deque()
         self._by_iri: dict[str, str] = {}
@@ -219,7 +239,19 @@ class Engine:
         with self._lock:
             if any(s.name == sync.name for s in self.syncs):
                 raise EngineError(f"sync already registered: {sync.name}")
+            rule = self._compile(sync)
             self.syncs.append(sync)
+            # a rule with no pattern on a completion's (concept, action) can
+            # never count that completion as its trigger, so it is not visited
+            for trigger in dict.fromkeys(pat[:2] for pat in rule.when):
+                self._triggers.setdefault(trigger, []).append(rule)
+
+    def _compile(self, sync: SyncDef) -> _Rule:
+        return _Rule(
+            sync,
+            tuple((qualify(self.prefix, p.concept), p.action, p.inputs, p.outputs) for p in sync.when),
+            tuple((qualify(self.prefix, t.concept), t.action, t.fields) for t in sync.then),
+        )
 
     def register_syncs(self, syncs) -> None:
         for sync in syncs:
@@ -260,11 +292,18 @@ class Engine:
         old = self.records.get(rec.id)
         if old is not None:
             self.store.remove(record_to_quads(old, self.actions_graph, self.schema))
+            if old.flow != rec.flow:
+                del self._by_flow[old.flow][rec.id]
+        # a completion replacing its invocation keeps the invocation's slot
         self.records[rec.id] = rec
+        self._by_flow.setdefault(rec.flow, {})[rec.id] = rec
         self.store.insert(record_to_quads(rec, self.actions_graph, self.schema))
 
     def _insert_edge(self, edge: SyncEdge) -> None:
         self.edges.append(edge)
+        source = self.records.get(edge.from_id)
+        if source is not None:
+            self._edges_by_flow.setdefault(source.flow, []).append(edge)
         self.store.insert(
             [Quad(edge.from_id, self.schema.sync(edge.sync), Ref(edge.to_id), self.actions_graph)]
         )
@@ -314,13 +353,12 @@ class Engine:
             self.queue.append(done.id)
             return flow
 
-    def _match_when(self, sync: SyncDef, trigger: ActionRecord) -> list:
+    def _match_when(self, rule: _Rule, trigger: ActionRecord) -> list:
         """Frames where the trigger fills one when pattern and same-flow
         completions fill the rest; already-fired keys are excluded."""
-        flow_recs = [
-            r for r in self.records.values() if r.flow == trigger.flow and r.is_completion
-        ]
-        pats = sync.when
+        flow_recs = [r for r in self._by_flow[trigger.flow].values() if r.is_completion]
+        name = rule.sync.name
+        pats = rule.when
         results = []
         seen = set()
 
@@ -328,7 +366,7 @@ class Engine:
             if i == len(pats):
                 if not hit:
                     return
-                key = (sync.name, tuple(sorted(used)))
+                key = (name, tuple(sorted(used)))
                 if key in self.fired:
                     return
                 mark = (key, frame_key(frame))
@@ -337,17 +375,16 @@ class Engine:
                 seen.add(mark)
                 results.append((frame, key))
                 return
-            pat = pats[i]
-            iri = qualify(self.prefix, pat.concept)
+            iri, action, inputs, outputs = pats[i]
             for rec in flow_recs:
                 if rec.id in used:
                     continue
-                if rec.concept != iri or rec.name != pat.action:
+                if rec.concept != iri or rec.name != action:
                     continue
-                nxt = _match_fields(pat.inputs, rec.input, frame)
+                nxt = _match_fields(inputs, rec.input, frame)
                 if nxt is None:
                     continue
-                nxt = _match_fields(pat.outputs, rec.output, nxt)
+                nxt = _match_fields(outputs, rec.output, nxt)
                 if nxt is None:
                     continue
                 extend(i + 1, nxt, used + (rec.id,), hit or rec.id == trigger.id)
@@ -355,9 +392,10 @@ class Engine:
         extend(0, {}, (), False)
         return results
 
-    def _fire(self, sync: SyncDef, frame: dict, key: tuple, flow: str) -> list:
+    def _fire(self, rule: _Rule, frame: dict, key: tuple, flow: str) -> list:
         if key in self.fired:
             return []
+        sync = rule.sync
         frames = [frame]
         if sync.where is not None:
             frames = self.store.evaluate(sync.where, seed=frame, namespaces=self.namespaces)
@@ -368,14 +406,8 @@ class Engine:
         edges = []
         if frames:
             for fr in frames:
-                for tmpl in sync.then:
-                    inv = ActionRecord(
-                        new_id(),
-                        qualify(self.prefix, tmpl.concept),
-                        tmpl.action,
-                        flow,
-                        _fill_fields(tmpl.fields, fr),
-                    )
+                for iri, action, fields in rule.then:
+                    inv = ActionRecord(new_id(), iri, action, flow, _fill_fields(fields, fr))
                     invocations.append(inv)
                     edges.extend(SyncEdge(cid, sync.name, inv.id) for cid in key[1])
         else:
@@ -403,21 +435,31 @@ class Engine:
             if not self.queue:
                 return False
             trigger = self.records[self.queue.popleft()]
-            for sync in self.syncs:
-                for frame, key in self._match_when(sync, trigger):
-                    for inv in self._fire(sync, frame, key, trigger.flow):
+            for rule in self._triggers.get((trigger.concept, trigger.name), ()):
+                for frame, key in self._match_when(rule, trigger):
+                    for inv in self._fire(rule, frame, key, trigger.flow):
                         self._dispatch(inv)
             return True
 
     def run_to_quiescence(self) -> int:
+        """Step until the queue is empty; returns the number of steps.
+
+        step_limit bounds the steps of each flow, not of the call, so a long
+        backlog or a recovered history is not taken for a rule loop.
+        """
         steps = 0
-        while self.step():
+        per_flow: dict[str, int] = {}
+        while True:
+            with self._lock:
+                flow = self.records[self.queue[0]].flow if self.queue else None
+                if not self.step():
+                    return steps
             steps += 1
-            if steps > self.step_limit:
+            per_flow[flow] = per_flow.get(flow, 0) + 1
+            if per_flow[flow] > self.step_limit:
                 raise EngineError(
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
                 )
-        return steps
 
     def pending_matches(self) -> list:
         """Every (sync name, FiringKey) a fresh matching pass would fire now.
@@ -430,9 +472,9 @@ class Engine:
             for rec in self.records.values():
                 if not rec.is_completion:
                     continue
-                for sync in self.syncs:
-                    for _frame, key in self._match_when(sync, rec):
-                        out.append((sync.name, key))
+                for rule in self._triggers.get((rec.concept, rec.name), ()):
+                    for _frame, key in self._match_when(rule, rec):
+                        out.append((rule.sync.name, key))
             return out
 
     # -------------------------------------------------------------- recovery
@@ -470,10 +512,10 @@ class Engine:
                     version = doc["version"]
                     continue
                 if set(doc) == {"from", "sync", "to"}:
-                    self._insert_edge(edge_from_json(line))
+                    self._insert_edge(edge_from_doc(doc))
                     continue
                 try:
-                    rec = record_from_json(line)
+                    rec = record_from_doc(doc)
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 self._insert_record(rec)
@@ -519,7 +561,7 @@ class Engine:
 
     def flow_records(self, flow: str) -> list[ActionRecord]:
         with self._lock:
-            return [r for r in self.records.values() if r.flow == flow]
+            return list(self._by_flow.get(flow, {}).values())
 
     def root_records(self) -> list[ActionRecord]:
         """Completions nothing caused: the external submissions, in log order."""
@@ -530,9 +572,9 @@ class Engine:
     def trace_flow(self, flow: str) -> FlowTrace:
         """The provenance DAG of one flow: records, edges, and rule labels."""
         with self._lock:
-            recs = [r for r in self.records.values() if r.flow == flow]
+            recs = list(self._by_flow.get(flow, {}).values())
             ids = {r.id for r in recs}
-            edges = tuple(e for e in self.edges if e.from_id in ids)
+            edges = tuple(self._edges_by_flow.get(flow, ()))
             incoming: dict[str, list] = {}
             for e in edges:
                 if e.to_id in ids:

@@ -14,8 +14,10 @@ def sync_text(stem: str) -> str:
     return (DEFS / f"{stem}.sync").read_text()
 
 
-def build_engine(rules=ORIGINAL_RULES, concepts=tuple(BUILTINS), version="dev", step_limit=10_000) -> Engine:
-    eng = Engine(version=version, step_limit=step_limit)
+def build_engine(
+    rules=ORIGINAL_RULES, concepts=tuple(BUILTINS), version="dev", step_limit=10_000, engine_cls=Engine
+) -> Engine:
+    eng = engine_cls(version=version, step_limit=step_limit)
     for name in concepts:
         eng.register_concept(
             load_builtin_spec(name), make_builtin_handle(name), bootstrap=(name == "Web")

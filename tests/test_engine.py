@@ -1,11 +1,18 @@
 """Engine behavior: matching, firing, provenance, recovery, tracing."""
 import json
 import random
+import tempfile
+import uuid
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import (
     ARTICLE_RULES,
+    FIXED_RULES,
+    ORIGINAL_RULES,
     build_engine,
     register_payload,
     respond_body,
@@ -14,9 +21,10 @@ from support import (
     run_flow,
     seed_article,
 )
-from tandem.concepts import load_builtin_spec, make_builtin_handle
-from tandem.core import Ref, to_jsonable
-from tandem.engine import Engine, EngineError, RecoveryError, normalize_actions
+from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
+from tandem.core import Ref, qualify, to_jsonable
+from tandem.engine import Engine, EngineError, RecoveryError, _match_fields, normalize_actions
+from tandem.store import frame_key
 from tandem.speclang import parse_concept
 from tandem.synclang import parse_syncs
 
@@ -424,3 +432,254 @@ def test_recover_reports_foreign_version(tmp_path):
     eng.close()
     eng2 = build_engine(version="v2")
     assert eng2.recover_from(path) == "v1"
+
+
+def test_step_limit_bounds_each_flow_not_the_backlog(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    for i in range(20):
+        run_flow(eng, register_payload(name=f"user{i}", email=f"user{i}@example.org"))
+    eng.close()
+
+    # recovery re-queues all 120 completions; no single flow takes 100 steps
+    eng2 = build_engine(step_limit=100)
+    eng2.recover_from(path)
+    eng2.run_to_quiescence()
+    flow = run_flow(eng2, register_payload(name="late", email="late@example.org"))
+    assert len(responds(eng2, flow)) == 1
+
+    backlog = [
+        eng2.submit_external("Web", "request", register_payload(name=f"b{i}", email=f"b{i}@example.org"))
+        for i in range(20)
+    ]
+    eng2.run_to_quiescence()
+    assert all(len(responds(eng2, f)) == 1 for f in backlog)
+    eng2.close()
+
+
+# ------------------------------------------------------------ the indexes
+
+def _mixed_history(eng):
+    """Registrations, an article with comments, a cascade delete, a no-op."""
+    run_flow(eng, register_payload(name="bob", email="bob@example.org", password="short"))
+    f_user, _ = seed_article(eng, tags=["t"])
+    for i in range(2):
+        run_flow(eng, {"method": "add_comment", "slug": "intro-to-sync", "author": "alice", "body": str(i)})
+    run_flow(eng, {"method": "delete_article", "slug": "intro-to-sync"})
+    run_flow(eng, {"method": "delete_article", "slug": "intro-to-sync"})
+    run_flow(eng, {
+        "method": "create_article", "title": "Quiet", "description": "d", "body": "b",
+        "token": registered_token(eng, f_user),
+    })
+    run_flow(eng, {"method": "delete_article", "slug": "quiet"})
+
+
+def _assert_index_matches_scan(eng):
+    flows = dict.fromkeys(r.flow for r in eng.actions())
+    for flow in flows:
+        scanned = [r for r in eng.actions() if r.flow == flow]
+        assert eng.flow_records(flow) == scanned
+        ids = {r.id for r in scanned}
+        assert eng.trace_flow(flow).edges == tuple(e for e in eng.edges if e.from_id in ids)
+    return flows
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_recovered_index_equals_the_writers(tmp_path, resume):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+
+    eng2 = build_engine(rules=ARTICLE_RULES)
+    eng2.recover_from(path, resume=resume)
+    eng2.run_to_quiescence()
+    eng2.close()
+    flows = _assert_index_matches_scan(eng)
+    assert list(flows) == list(_assert_index_matches_scan(eng2))
+    for flow in flows:
+        assert eng2.flow_records(flow) == eng.flow_records(flow)
+        assert eng2.trace_flow(flow) == eng.trace_flow(flow)
+
+
+def test_resume_completes_pending_invocations_in_place(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    boundaries = [1]
+    original = eng._append_batch
+
+    def spy(lines):
+        original(lines)
+        boundaries.append(boundaries[-1] + len(lines))
+
+    eng._append_batch = spy
+    eng.attach_log(path)
+    flow = run_flow(eng, register_payload())
+    eng.close()
+    # keep the root completion and the first firing, whose invocation is pending
+    lines = path.read_text().splitlines()[: boundaries[2]]
+    trunc = tmp_path / "trunc.log"
+    trunc.write_text("".join(line + "\n" for line in lines))
+
+    cut = build_engine()
+    cut.recover_from(trunc, resume=False)
+    before = [r.id for r in cut.flow_records(flow)]
+    assert not all(r.is_completion for r in cut.flow_records(flow))
+    eng2 = build_engine()
+    eng2.recover_from(trunc)
+    eng2.run_to_quiescence()
+    eng2.close()
+    assert [r.id for r in eng2.flow_records(flow)][: len(before)] == before
+    assert all(r.is_completion for r in eng2.flow_records(flow))
+    _assert_index_matches_scan(eng2)
+    assert normalize_actions(eng2.actions()) == normalize_actions(eng.actions())
+
+
+def test_rule_registered_late_fires_on_new_completions():
+    eng = build_engine()
+    before = run_flow(eng, {"method": "ping"})
+    run_flow(eng, register_payload())
+    eng.register_syncs(parse_syncs(
+        'sync Pong when { Web/request: [ method: "ping" ] => [ request: ?r ] } '
+        'then { Web/respond: [ request: ?r ; code: 204 ] }\n'
+        'sync Audit when { Web/respond: [ code: 204 ] => [] } then { Web/format: [ type: "audit" ] }'
+    ))
+    after = run_flow(eng, {"method": "ping"})
+    assert [short(r) for r in eng.flow_records(before)] == ["Web/request"]
+    assert [short(r) for r in eng.flow_records(after)] == ["Web/request", "Web/respond", "Web/format"]
+    assert eng.trace_flow(after).sync_labels() == {"Pong", "Audit"}
+
+
+# ----------------------------------------------- differential: firing order
+
+def _reference_when(eng, sync, trigger):
+    """The matcher before indexing: scans every record, qualifies per visit."""
+    flow_recs = [r for r in eng.records.values() if r.flow == trigger.flow and r.is_completion]
+    pats = sync.when
+    results = []
+    seen = set()
+
+    def extend(i, frame, used, hit):
+        if i == len(pats):
+            if not hit:
+                return
+            key = (sync.name, tuple(sorted(used)))
+            if key in eng.fired:
+                return
+            mark = (key, frame_key(frame))
+            if mark in seen:
+                return
+            seen.add(mark)
+            results.append((frame, key))
+            return
+        pat = pats[i]
+        iri = qualify(eng.prefix, pat.concept)
+        for rec in flow_recs:
+            if rec.id in used:
+                continue
+            if rec.concept != iri or rec.name != pat.action:
+                continue
+            nxt = _match_fields(pat.inputs, rec.input, frame)
+            if nxt is None:
+                continue
+            nxt = _match_fields(pat.outputs, rec.output, nxt)
+            if nxt is None:
+                continue
+            extend(i + 1, nxt, used + (rec.id,), hit or rec.id == trigger.id)
+
+    extend(0, {}, (), False)
+    return results
+
+
+def _reference_pending(eng):
+    return [
+        (sync.name, key)
+        for rec in eng.records.values() if rec.is_completion
+        for sync in eng.syncs
+        for _frame, key in _reference_when(eng, sync, rec)
+    ]
+
+
+class ReferenceEngine(Engine):
+    """Tries every rule on every completion, in registration order."""
+
+    def step(self):
+        with self._lock:
+            if not self.queue:
+                return False
+            trigger = self.records[self.queue.popleft()]
+            for sync in self.syncs:
+                for frame, key in _reference_when(self, sync, trigger):
+                    for inv in self._fire(self._compile(sync), frame, key, trigger.flow):
+                        self._dispatch(inv)
+            return True
+
+
+def _seeded_uuid4(seed):
+    """A uuid4 stand-in that mints the same ids, in the same order, per seed."""
+    rng = random.Random(seed)
+    return lambda: uuid.UUID(int=rng.getrandbits(128), version=4)
+
+
+def _drive(eng, ops):
+    users = {}  # user number -> its registration flow
+    for kind, n, steps in ops:
+        if kind in ("register", "short"):
+            flow = eng.submit_external("Web", "request", register_payload(
+                name=f"user{n}", email=f"user{n}@example.org",
+                password="short" if kind == "short" else "longenough1",
+            ))
+            users.setdefault(n, flow)  # a repeated registration is refused
+        elif kind == "article":
+            answered = responds(eng, users[n]) if n in users else []
+            user = respond_body(answered[0]).get("user", {}) if answered else {}
+            eng.submit_external("Web", "request", {
+                "method": "create_article", "title": f"Post {n}", "description": "d",
+                "body": "b", "token": user.get("token", "garbage"),
+            })
+        elif kind == "comment":
+            eng.submit_external("Web", "request", {
+                "method": "add_comment", "slug": slugify(f"Post {n}"), "author": f"user{n}", "body": "hm",
+            })
+        else:
+            eng.submit_external("Web", "request", {"method": "delete_article", "slug": slugify(f"Post {n}")})
+        for _ in range(steps):
+            eng.step()
+    eng.run_to_quiescence()
+
+
+_EXTRA_RULES = ("articles", "formatting", "moderation")
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["register", "short", "article", "comment", "delete"]),
+        st.integers(0, 2),
+        st.integers(0, 6),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_ops, fixed=st.booleans())
+def test_indexed_matching_fires_like_the_reference(ops, fixed):
+    rules = (FIXED_RULES if fixed else ORIGINAL_RULES) + _EXTRA_RULES
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = []
+        for cls in (Engine, ReferenceEngine):
+            # both engines mint the same ids, so equal firing order means equal logs
+            path = Path(tmp) / f"{cls.__name__}.log"
+            with mock.patch("uuid.uuid4", _seeded_uuid4(0)):
+                eng = build_engine(rules=rules, engine_cls=cls)
+                eng.attach_log(path)
+                _drive(eng, ops)
+            eng.close()
+            logs.append((eng, path.read_text().splitlines()))
+        (indexed, indexed_log), (reference, reference_log) = logs
+        assert indexed_log == reference_log
+        assert normalize_actions(indexed.actions()) == normalize_actions(reference.actions())
+        assert indexed.pending_matches() == []
+        assert _reference_pending(indexed) == []
