@@ -5,6 +5,7 @@ it over HTTP, fire scripted requests, replay logs, lint rules, trace flows.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -159,6 +160,15 @@ def _lint_or_die(eng: Engine) -> None:
         raise SystemExit(1)
 
 
+def _open_log(eng: Engine, cfg: AppConfig) -> None:
+    """Resume the configured log when it exists, else start a new one."""
+    if cfg.log.exists():
+        eng.recover_from(cfg.log)
+        eng.run_to_quiescence()
+    else:
+        eng.attach_log(cfg.log)
+
+
 def cmd_lint(args) -> int:
     cfg = load_config(args.config)
     eng = assemble(cfg)
@@ -174,11 +184,15 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     eng = assemble(cfg)
     _lint_or_die(eng)
-    eng.attach_log(cfg.log)
+    _open_log(eng, cfg)
     runtime = Runtime(eng, timeout=cfg.timeout)
     runtime.start()
     host, _, port = cfg.bind.rpartition(":")
     server = make_server(runtime, host or "127.0.0.1", int(port))
+    # what start-up built (modules, specs, compiled rules, recovered history)
+    # lives as long as the process; frozen, no full collection walks it again
+    gc.collect()
+    gc.freeze()
     print(f"serving on http://{server.server_address[0]}:{server.server_address[1]}"
           f" (log: {cfg.log}, version: {cfg.version})")
     try:
@@ -195,11 +209,7 @@ def cmd_request(args) -> int:
     cfg = load_config(args.config)
     eng = assemble(cfg)
     _lint_or_die(eng)
-    if cfg.log.exists():
-        eng.recover_from(cfg.log)
-        eng.run_to_quiescence()
-    else:
-        eng.attach_log(cfg.log)
+    _open_log(eng, cfg)
     if args.payload:
         payload = _unwrap(from_jsonable(json.loads(Path(args.payload).read_text())))
     else:
@@ -300,6 +310,9 @@ def main(argv=None) -> None:
         raise SystemExit(1)
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+    except RecoveryError as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
 

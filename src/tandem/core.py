@@ -2,9 +2,9 @@
 
 Every action occurrence in the system is an ActionRecord. A record without an
 output is an invocation (work someone asked for); the same record with an
-output filled in is a completion. Records are encoded as quads in a named
-graph so rules can query history, and as JSON lines so the log can be
-replayed after a crash.
+output filled in is a completion. Records and the provenance edges between
+them are written as JSON lines to an append-only log, the one record of
+history, so a run can be replayed after a crash.
 """
 from __future__ import annotations
 
@@ -97,13 +97,6 @@ def canonical_value(value):
     raise ValueError(f"unsupported value type: {type(value).__name__}")
 
 
-def canonical_record(record: dict) -> dict:
-    rec = canonical_value(record)
-    if not isinstance(rec, dict):
-        raise ValueError("expected a record")
-    return rec
-
-
 _TAG_NIL, _TAG_BOOL, _TAG_INT, _TAG_STR, _TAG_REF, _TAG_LIST, _TAG_RECORD = range(7)
 
 
@@ -154,7 +147,11 @@ def qualify(prefix: str, concept: str, action: str | None = None, arg: str | Non
 
 @dataclass(frozen=True)
 class Schema:
-    """Predicates of the action graph, all under one base IRI."""
+    """IRIs of no-op targets, all under one base IRI.
+
+    A firing whose where clause produced zero frames has no invocation to
+    point at, so its provenance edges target a fresh no-op IRI instead.
+    """
 
     base: str = "app://schema/"
 
@@ -162,41 +159,6 @@ class Schema:
         require_iri(self.base, "schema base")
         if not self.base.endswith("/"):
             object.__setattr__(self, "base", self.base + "/")
-
-    @property
-    def actions(self) -> str:
-        return self.base + "actions"
-
-    @property
-    def concept(self) -> str:
-        return self.base + "concept"
-
-    @property
-    def name(self) -> str:
-        return self.base + "name"
-
-    @property
-    def flow(self) -> str:
-        return self.base + "flow"
-
-    @property
-    def input(self) -> str:
-        return self.base + "input"
-
-    @property
-    def output(self) -> str:
-        return self.base + "output"
-
-    @property
-    def first(self) -> str:
-        return self.base + "first"
-
-    @property
-    def rest(self) -> str:
-        return self.base + "rest"
-
-    def sync(self, sync_name: str) -> str:
-        return self.base + "sync/" + sync_name
 
     def noop(self, suffix: str) -> str:
         return self.base + "noop/" + suffix
@@ -240,8 +202,8 @@ class ActionRecord:
         return self.output is not None
 
 
-# Marker for firings whose where clause produced zero frames. The edge
-# target gets a fresh suffix per firing so edge triples stay unique.
+# A no-op target gets a fresh suffix per firing, so the edges of two
+# firings never share a target and each firing's guard replays on its own.
 @dataclass(frozen=True)
 class SyncEdge:
     """Provenance edge: completion -> (sync rule) -> invocation or no-op."""
@@ -265,103 +227,6 @@ def derive_id(base: str, salt: str) -> str:
 
 def derive_token(base: str, salt: str) -> str:
     return str(uuid.uuid5(uuid.NAMESPACE_URL, base + "#" + salt))
-
-
-def _encode_value(quads: list, graph: str, schema: Schema, subj: str, pred: str, node: str, value) -> None:
-    if isinstance(value, dict):
-        quads.append(Quad(subj, pred, Ref(node), graph))
-        for fname in value:
-            _encode_value(quads, graph, schema, node, pred + "/" + fname, node + "/" + fname, value[fname])
-        return
-    if isinstance(value, list):
-        # first/rest chain with deterministic cell ids
-        prev_subj, prev_pred = subj, pred
-        for i, elem in enumerate(value):
-            cell = node + "/" + str(i)
-            quads.append(Quad(prev_subj, prev_pred, Ref(cell), graph))
-            _encode_value(quads, graph, schema, cell, schema.first, cell + "/v", elem)
-            prev_subj, prev_pred = cell, schema.rest
-        quads.append(Quad(prev_subj, prev_pred, NIL, graph))
-        return
-    quads.append(Quad(subj, pred, value, graph))
-
-
-def record_to_quads(rec: ActionRecord, graph: str, schema: Schema = DEFAULT_SCHEMA) -> list:
-    """Encode a record as quads in the given action graph.
-
-    The record id carries a self-loop on the actions predicate; it marks the
-    root so a record can be rebuilt from its quad set alone. Input and output
-    hang off blank-style nodes whose ids derive from the record id, and field
-    predicates are qualified under the concept and action.
-    """
-    require_iri(graph, "graph")
-    quads = [
-        Quad(rec.id, schema.actions, Ref(rec.id), graph),
-        Quad(rec.id, schema.concept, Ref(rec.concept), graph),
-        Quad(rec.id, schema.name, rec.name, graph),
-        Quad(rec.id, schema.flow, rec.flow, graph),
-    ]
-    action_base = rec.concept + "/" + rec.name
-    for role, pred, payload in (("input", schema.input, rec.input), ("output", schema.output, rec.output)):
-        if payload is None:
-            continue
-        node = rec.id + "/" + role
-        quads.append(Quad(rec.id, pred, Ref(node), graph))
-        for fname in payload:
-            _encode_value(quads, graph, schema, node, action_base + "/" + fname, node + "/" + fname, payload[fname])
-    return quads
-
-
-def _decode_value(by_subject: dict, root_id: str, schema: Schema, value):
-    if not isinstance(value, Ref) or not value.iri.startswith(root_id + "/"):
-        return value
-    node = value.iri
-    props = by_subject.get(node, [])
-    preds = {p for p, _ in props}
-    if schema.first in preds or schema.rest in preds:
-        items = []
-        while True:
-            cell = {p: o for p, o in by_subject.get(node, [])}
-            items.append(_decode_value(by_subject, root_id, schema, cell[schema.first]))
-            nxt = cell[schema.rest]
-            if nxt is NIL:
-                return items
-            node = nxt.iri
-    record = {}
-    for pred, obj in props:
-        fname = pred.rsplit("/", 1)[-1]
-        record[fname] = _decode_value(by_subject, root_id, schema, obj)
-    return record
-
-
-def quads_to_record(quads, schema: Schema = DEFAULT_SCHEMA) -> ActionRecord:
-    """Rebuild the single ActionRecord whose quads were passed in."""
-    by_subject: dict[str, list] = {}
-    roots = []
-    for q in quads:
-        by_subject.setdefault(q.subject, []).append((q.predicate, q.object))
-        if q.predicate == schema.actions and isinstance(q.object, Ref) and q.object.iri == q.subject:
-            roots.append(q.subject)
-    if len(roots) != 1:
-        raise ValueError(f"expected exactly one record root, found {len(roots)}")
-    root = roots[0]
-    props = dict(by_subject[root])
-    input_rec = _decode_value(by_subject, root, schema, props[schema.input])
-    output_rec = None
-    if schema.output in props:
-        output_rec = _decode_value(by_subject, root, schema, props[schema.output])
-        if not isinstance(output_rec, dict):
-            raise ValueError("output node did not decode to a record")
-    if not isinstance(input_rec, dict):
-        raise ValueError("input node did not decode to a record")
-    return ActionRecord(
-        id=root,
-        concept=props[schema.concept].iri,
-        name=props[schema.name],
-        flow=props[schema.flow],
-        input=input_rec,
-        output=output_rec,
-    )
 
 
 def to_jsonable(value):

@@ -6,8 +6,9 @@ must all be satisfied by completions of the same flow, the where clause is
 evaluated against current concept state, and each surviving frame
 instantiates the then templates as fresh invocations, wired back to their
 causes by provenance edges labeled with the rule name. Every record and edge
-is appended to a JSON-lines log before it takes effect, so a crashed run can
-be replayed into the exact same action graph.
+is appended to a JSON-lines log before it takes effect. The log is the only
+record of history, so a crashed run replays into the exact same records and
+edges; the quad store holds concept state and nothing else.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
@@ -28,8 +29,6 @@ from .core import (
     DEFAULT_SCHEMA,
     UUID_RE,
     ActionRecord,
-    Quad,
-    Ref,
     Schema,
     SyncEdge,
     edge_from_doc,
@@ -39,7 +38,6 @@ from .core import (
     qualify,
     record_from_doc,
     record_to_json,
-    record_to_quads,
     to_jsonable,
     values_equal,
 )
@@ -196,7 +194,6 @@ class Engine:
         self.schema = schema
         self.step_limit = step_limit
         self.store = QuadStore()
-        self.actions_graph = f"app://graphs/{version}/actions"
         self.concepts: dict[str, tuple[ConceptSpec, object]] = {}
         self.namespaces: dict[str, Namespace] = {}
         self.bootstrap: str | None = None
@@ -290,23 +287,17 @@ class Engine:
 
     def _insert_record(self, rec: ActionRecord) -> None:
         old = self.records.get(rec.id)
-        if old is not None:
-            self.store.remove(record_to_quads(old, self.actions_graph, self.schema))
-            if old.flow != rec.flow:
-                del self._by_flow[old.flow][rec.id]
+        if old is not None and old.flow != rec.flow:
+            del self._by_flow[old.flow][rec.id]
         # a completion replacing its invocation keeps the invocation's slot
         self.records[rec.id] = rec
         self._by_flow.setdefault(rec.flow, {})[rec.id] = rec
-        self.store.insert(record_to_quads(rec, self.actions_graph, self.schema))
 
     def _insert_edge(self, edge: SyncEdge) -> None:
         self.edges.append(edge)
         source = self.records.get(edge.from_id)
         if source is not None:
             self._edges_by_flow.setdefault(source.flow, []).append(edge)
-        self.store.insert(
-            [Quad(edge.from_id, self.schema.sync(edge.sync), Ref(edge.to_id), self.actions_graph)]
-        )
         self._edge_groups.setdefault((edge.sync, edge.to_id), set()).add(edge.from_id)
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
@@ -460,6 +451,11 @@ class Engine:
                 raise EngineError(
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
                 )
+
+    def queued_flows(self) -> set:
+        """Flows with a completion still waiting for its matching pass."""
+        with self._lock:
+            return {self.records[rid].flow for rid in self.queue}
 
     def pending_matches(self) -> list:
         """Every (sync name, FiringKey) a fresh matching pass would fire now.

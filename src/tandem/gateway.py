@@ -2,8 +2,9 @@
 
 One POST becomes one flow: the path names the method, the JSON body becomes
 the request payload, and the reply is whatever Web/respond recorded for that
-flow. A single worker thread owns all rule evaluation; handler threads only
-enqueue submissions and wait for their flow's response.
+flow, or 504 when the flow goes quiet without one. A single worker thread
+owns all rule evaluation; handler threads only enqueue submissions and wait
+for their flow to go quiet.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ class Runtime:
             try:
                 self.engine.run_to_quiescence()
             except EngineError as exc:
-                # leave the flows to time out; the condition is operator-level
+                # flows left queued time out; the condition is operator-level
                 print(f"engine halted: {exc}", flush=True)
+            # a flow with nothing left queued is answered now, with its
+            # respond or without one; waiters are read before the queue so
+            # a flow submitted meanwhile is seen as still queued
             with self._lock:
                 waiting = list(self._waiters.items())
+            queued = self.engine.queued_flows()
             for flow, event in waiting:
-                if self._respond_of(flow) is not None:
+                if flow not in queued:
                     event.set()
 
     def submit(self, payload: dict, timeout: float | None = None):

@@ -1,10 +1,10 @@
 """In-memory quad store and the query evaluator used by rule where-clauses.
 
 Queries are lists of clauses applied left to right over a set of frames
-(variable bindings): graph patterns, OPTIONAL blocks, BIND expressions,
-comparison filters, and NOT-EXISTS guards. Concept-scoped patterns are
-resolved against a namespace table so a rule can say `User: { ?u name: ?n }`
-without knowing graph IRIs. Results are deduplicated and sorted so a query
+(variable bindings): concept patterns, OPTIONAL blocks, BIND expressions,
+comparison filters, and NOT-EXISTS guards. Concept patterns are resolved
+against a namespace table so a rule can say `User: { ?u name: ?n }` without
+knowing graph IRIs. Results are deduplicated and sorted so a query
 over the same store always returns the same frame list.
 """
 from __future__ import annotations
@@ -52,12 +52,6 @@ class Namespace:
 class ConceptPattern:
     concept: str
     triples: tuple  # (subject term, property name, object term)
-
-
-@dataclass(frozen=True)
-class GraphPattern:
-    graph: str
-    triples: tuple  # (subject term, predicate iri, object term)
 
 
 @dataclass(frozen=True)
@@ -242,9 +236,7 @@ class QuadStore:
 
     def _apply(self, clause, frames, namespaces):
         if isinstance(clause, ConceptPattern):
-            return self._apply_patterns([clause], frames, namespaces)
-        if isinstance(clause, GraphPattern):
-            return self._apply_patterns([clause], frames, namespaces)
+            return self._apply_pattern(clause, frames, namespaces)
         if isinstance(clause, OptionalBlock):
             out = []
             for f in frames:
@@ -282,20 +274,14 @@ class QuadStore:
             return [f for f in frames if self._test(clause, f)]
         raise QueryError(f"unknown clause type: {type(clause).__name__}")
 
-    def _apply_patterns(self, patterns, frames, namespaces):
-        for pat in patterns:
-            if isinstance(pat, ConceptPattern):
-                ns = namespaces.get(pat.concept)
-                if ns is None:
-                    raise QueryError(f"unknown concept namespace: {pat.concept}")
-                triples = [(s, ns.predicate(p), o) for s, p, o in pat.triples]
-                graph = ns.graph
-            else:
-                triples, graph = list(pat.triples), pat.graph
-            for s_term, pred, o_term in triples:
-                frames = self._match_triple(graph, s_term, pred, o_term, frames)
-                if not frames:
-                    return []
+    def _apply_pattern(self, pat, frames, namespaces):
+        ns = namespaces.get(pat.concept)
+        if ns is None:
+            raise QueryError(f"unknown concept namespace: {pat.concept}")
+        for s_term, prop, o_term in pat.triples:
+            frames = self._match_triple(ns.graph, s_term, ns.predicate(prop), o_term, frames)
+            if not frames:
+                return []
         return frames
 
     def _match_triple(self, graph, s_term, pred, o_term, frames):

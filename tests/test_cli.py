@@ -1,8 +1,17 @@
 """Command line tool: config parsing, assembly, and the five subcommands."""
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
+
+import tandem.cli
 
 from support import DEFS, register_payload
 from tandem.cli import AppConfig, ConfigError, assemble, cmd_lint, load_config, main, render_trace
@@ -220,6 +229,46 @@ def test_trace_unknown_flow_exits_nonzero(tmp_path, capsys):
     code, out, _ = run_main(capsys, "-c", str(path), "trace", "no-such-flow")
     assert code == 1
     assert "no records" in out
+
+
+def test_run_resumes_its_log(tmp_path, capsys):
+    path = write_config(tmp_path)
+    payload = tmp_path / "register.json"
+    payload.write_text(json.dumps(register_payload()))
+    code, _, _ = run_main(capsys, "-c", str(path), "request", "register", str(payload))
+    assert code == 0
+
+    src = str(Path(tandem.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, TANDEM_BIND="127.0.0.1:0", PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "tandem.cli", "-c", str(path), "run"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 60)
+        line = server.stdout.readline() if ready else ""
+        assert line.startswith("serving on http://"), line
+        base = line.split()[2]
+        req = urllib.request.Request(
+            base + "/api/register",
+            data=json.dumps(register_payload(name="alice2")).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 422  # the email taken before the restart stays taken
+        assert "email already taken" in json.loads(err.value.read())["error"]
+    finally:
+        server.send_signal(signal.SIGINT)
+        try:
+            server.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    code, out, _ = run_main(capsys, "-c", str(path), "replay")
+    assert (code, out.strip()) == (0, "equal after recovery")
 
 
 def test_render_trace_orders_and_labels():

@@ -1,4 +1,4 @@
-"""Value model, naming, quad encoding, and log line format."""
+"""Value model, naming, and log line format."""
 import json
 
 import pytest
@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandem.core import (
-    DEFAULT_SCHEMA,
     NIL,
     ActionRecord,
     NamingError,
-    Quad,
     Ref,
     SyncEdge,
     canonical_value,
@@ -19,10 +17,8 @@ from tandem.core import (
     new_flow,
     new_id,
     qualify,
-    quads_to_record,
     record_from_json,
     record_to_json,
-    record_to_quads,
     value_key,
 )
 
@@ -87,10 +83,7 @@ def test_value_key_orders_across_types():
     assert sorted(vals, key=value_key) == vals
 
 
-# ---------------------------------------------------------------- quads
-
-GRAPH = "app://graphs/dev/actions"
-
+# ---------------------------------------------------------------- records
 
 def make_record(input_rec, output_rec=None):
     return ActionRecord(
@@ -101,56 +94,6 @@ def make_record(input_rec, output_rec=None):
         input=input_rec,
         output=output_rec,
     )
-
-
-def test_invocation_quad_count_flat_input():
-    # hand count: actions self-loop, concept, name, flow, input root, one per field
-    rec = make_record({"user": Ref("uuid://u1"), "password": "secret123"})
-    quads = record_to_quads(rec, GRAPH)
-    assert len(quads) == 4 + 2 + 1
-    assert all(q.graph == GRAPH for q in quads)
-
-
-def test_completion_adds_output_quads():
-    rec = make_record({"user": Ref("uuid://u1")}, {"user": Ref("uuid://u1")})
-    quads = record_to_quads(rec, GRAPH)
-    # invocation part is 4+1+1, output adds a root link and one field
-    assert len(quads) == 6 + 2
-
-
-def test_self_loop_marks_root():
-    rec = make_record({"user": Ref("uuid://u1")})
-    quads = record_to_quads(rec, GRAPH)
-    loops = [q for q in quads if q.predicate == DEFAULT_SCHEMA.actions]
-    assert loops == [Quad(rec.id, DEFAULT_SCHEMA.actions, Ref(rec.id), GRAPH)]
-
-
-def test_field_predicates_are_action_qualified():
-    rec = make_record({"password": "secret123"})
-    quads = record_to_quads(rec, GRAPH)
-    preds = {q.predicate for q in quads}
-    assert qualify(PREFIX, "Password", "set", "password") in preds
-
-
-def test_empty_input_still_links_root():
-    rec = make_record({})
-    quads = record_to_quads(rec, GRAPH)
-    assert len(quads) == 5
-    assert quads_to_record(quads) == rec
-
-
-def test_nested_record_round_trip():
-    body = {"user": {"username": "alice", "tags": ["a", "b"], "extra": NIL}}
-    rec = make_record({"request": Ref("uuid://r1"), "body": body}, {"request": Ref("uuid://r1")})
-    assert quads_to_record(record_to_quads(rec, GRAPH)) == rec
-
-
-def test_quads_to_record_requires_single_root():
-    r1 = make_record({"a": 1})
-    r2 = make_record({"b": 2})
-    both = record_to_quads(r1, GRAPH) + record_to_quads(r2, GRAPH)
-    with pytest.raises(ValueError):
-        quads_to_record(both)
 
 
 field_st = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
@@ -171,13 +114,6 @@ value_st = st.recursive(
     max_leaves=8,
 )
 record_st = st.dictionaries(field_st, value_st, max_size=3)
-
-
-@settings(max_examples=120, deadline=None)
-@given(input_rec=record_st, output_rec=st.one_of(st.none(), record_st))
-def test_record_quads_round_trip(input_rec, output_rec):
-    rec = make_record(input_rec, output_rec)
-    assert quads_to_record(record_to_quads(rec, GRAPH)) == rec
 
 
 # ---------------------------------------------------------------- log lines

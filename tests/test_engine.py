@@ -24,7 +24,7 @@ from support import (
 from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
 from tandem.core import Ref, qualify, to_jsonable
 from tandem.engine import Engine, EngineError, RecoveryError, _match_fields, normalize_actions
-from tandem.store import frame_key
+from tandem.store import dump, frame_key
 from tandem.speclang import parse_concept
 from tandem.synclang import parse_syncs
 
@@ -502,6 +502,20 @@ def test_recovered_index_equals_the_writers(tmp_path, resume):
     for flow in flows:
         assert eng2.flow_records(flow) == eng.flow_records(flow)
         assert eng2.trace_flow(flow) == eng.trace_flow(flow)
+
+
+def test_store_holds_concept_state_only(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+    assert len(eng.store) > 0
+    assert set(eng.store.graphs()) <= {ns.graph for ns in eng.namespaces.values()}
+    # history lives in the log alone: replaying it rebuilds the same state
+    eng2 = build_engine(rules=ARTICLE_RULES)
+    eng2.recover_from(path, resume=False)
+    assert dump(eng2.store) == dump(eng.store)
 
 
 def test_resume_completes_pending_invocations_in_place(tmp_path):

@@ -1,6 +1,7 @@
 """HTTP gateway: request mapping, response shaping, timeouts."""
 import json
 import threading
+import time
 import urllib.request
 import urllib.error
 
@@ -12,10 +13,10 @@ from tandem.gateway import Runtime, make_server, reply_parts
 
 
 @pytest.fixture()
-def served():
+def served(request):
     eng = build_engine()
-    # happy paths return on the flow event; only unanswered flows wait it out
-    runtime = Runtime(eng, timeout=1.0)
+    # happy paths return on the flow event; only flows still working wait it out
+    runtime = Runtime(eng, timeout=getattr(request, "param", 1.0))
     runtime.start()
     server = make_server(runtime, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -83,6 +84,16 @@ def test_unmatched_method_times_out_with_flow_id():
         server.shutdown()
         server.server_close()
         runtime.stop()
+
+
+@pytest.mark.parametrize("served", [5.0], indirect=True)
+def test_quiet_flow_without_respond_is_answered_at_once(served):
+    eng, base = served
+    start = time.monotonic()
+    status, doc = post(base, "/api/nonsense", {"x": 1})
+    assert status == 504
+    assert time.monotonic() - start < 1.0  # not the 5 s timeout
+    assert [r.name for r in eng.flow_records(doc["flow"])] == ["request"]
 
 
 def test_authorization_header_becomes_token_field(served):

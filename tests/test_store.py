@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandem.core import DEFAULT_SCHEMA, NIL, Quad, Ref, new_flow, new_id, qualify, record_to_quads
-from tandem.core import ActionRecord
+from tandem.core import NIL, Quad, Ref, qualify
 from tandem.store import (
     Bind,
     Compare,
     ConceptPattern,
     FuncCall,
-    GraphPattern,
     GraphView,
     GroupingError,
     Namespace,
@@ -31,11 +29,12 @@ from tandem.store import (
 PREFIX = "https://concepts.example/v0/"
 USER_G = "app://graphs/dev/User"
 COMMENT_G = "app://graphs/dev/Comment"
-ACTIONS_G = "app://graphs/dev/actions"
+REQUEST_G = "app://graphs/dev/Request"
 
 NS = {
     "User": Namespace(USER_G, qualify(PREFIX, "User")),
     "Comment": Namespace(COMMENT_G, qualify(PREFIX, "Comment")),
+    "Request": Namespace(REQUEST_G, qualify(PREFIX, "Request")),
 }
 
 
@@ -131,30 +130,28 @@ def test_join_across_patterns():
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice", "?e": "a@x.io"}]
 
 
+def request_quad(subject, prop, value):
+    return Quad(subject, qualify(PREFIX, "Request", prop), value, REQUEST_G)
+
+
 def test_completion_guard_pattern():
-    # a record with an output must not look pending
-    rec = ActionRecord(
-        id=new_id(),
-        concept=qualify(PREFIX, "User"),
-        name="register",
-        flow=new_flow(),
-        input={"user": Ref("uuid://u1")},
-        output={"user": Ref("uuid://u1")},
-    )
+    # a request with an output must not look pending
     s = QuadStore()
-    s.insert(record_to_quads(rec, ACTIONS_G))
+    s.insert([
+        request_quad("uuid://r1", "input", Ref("uuid://u1")),
+        request_quad("uuid://r1", "output", Ref("uuid://u1")),
+    ])
     pending = Query(
         (
-            GraphPattern(ACTIONS_G, ((Var("?a"), DEFAULT_SCHEMA.actions, Var("?a_self")),)),
-            NotExists((GraphPattern(ACTIONS_G, ((Var("?a"), DEFAULT_SCHEMA.output, Var("?out")),)),)),
+            ConceptPattern("Request", ((Var("?a"), "input", Var("?in")),)),
+            NotExists((ConceptPattern("Request", ((Var("?a"), "output", Var("?out")),)),)),
         )
     )
-    assert s.evaluate(pending) == []
-    # strip the output quads and the same query finds it
+    assert s.evaluate(pending, namespaces=NS) == []
+    # without the output quad the same query finds it
     s2 = QuadStore()
-    inv = ActionRecord(rec.id, rec.concept, rec.name, rec.flow, rec.input, None)
-    s2.insert(record_to_quads(inv, ACTIONS_G))
-    assert len(s2.evaluate(pending)) == 1
+    s2.insert([request_quad("uuid://r1", "input", Ref("uuid://u1"))])
+    assert s2.evaluate(pending, namespaces=NS) == [{"?a": Ref("uuid://r1"), "?in": Ref("uuid://u1")}]
 
 
 def test_optional_leaves_frame_when_unmatched():
@@ -300,8 +297,10 @@ def test_group_preserves_partition(frames):
 # ---------------------------------------------------------------- properties
 
 SUBJECTS = [f"uuid://s{i}" for i in range(4)]
-PREDS = ["app://g/p0", "app://g/p1", "app://g/p2"]
 G = "app://g"
+PROPS = ["p0", "p1", "p2"]
+PROP_NS = {"C": Namespace(G, G)}
+PREDS = [PROP_NS["C"].predicate(p) for p in PROPS]
 
 quad_st = st.builds(
     Quad,
@@ -313,10 +312,10 @@ quad_st = st.builds(
 var_pool = ["?a", "?b", "?c", "?d"]
 term_st = st.one_of(st.sampled_from(var_pool).map(Var), st.integers(0, 3))
 subj_term_st = st.one_of(st.sampled_from(var_pool).map(Var), st.sampled_from(SUBJECTS).map(Ref))
-triple_st = st.tuples(subj_term_st, st.sampled_from(PREDS), term_st)
+triple_st = st.tuples(subj_term_st, st.sampled_from(PROPS), term_st)
 # mandatory patterns only: OPTIONAL and NOT-EXISTS are deliberately non-monotone
 pattern_query_st = st.lists(triple_st, min_size=1, max_size=3).map(
-    lambda ts: Query((GraphPattern(G, tuple(ts)),))
+    lambda ts: Query((ConceptPattern("C", tuple(ts)),))
 )
 
 
@@ -325,9 +324,9 @@ pattern_query_st = st.lists(triple_st, min_size=1, max_size=3).map(
 def test_monotonicity_without_negation(quads, extra, query):
     s = QuadStore()
     s.insert(quads)
-    before = {frame_key(f) for f in s.evaluate(query)}
+    before = {frame_key(f) for f in s.evaluate(query, namespaces=PROP_NS)}
     s.insert(extra)
-    after = {frame_key(f) for f in s.evaluate(query)}
+    after = {frame_key(f) for f in s.evaluate(query, namespaces=PROP_NS)}
     assert before <= after
 
 
@@ -336,7 +335,7 @@ def test_monotonicity_without_negation(quads, extra, query):
 def test_seed_consistency(quads, query, data):
     s = QuadStore()
     s.insert(quads)
-    unseeded = s.evaluate(query)
+    unseeded = s.evaluate(query, namespaces=PROP_NS)
     if not unseeded:
         return
     pick = data.draw(st.sampled_from(unseeded))
@@ -344,7 +343,7 @@ def test_seed_consistency(quads, query, data):
         return
     var = data.draw(st.sampled_from(sorted(pick)))
     seed = {var: pick[var]}
-    seeded = s.evaluate(query, seed)
+    seeded = s.evaluate(query, seed, namespaces=PROP_NS)
     filtered = [f for f in unseeded if frame_key({**f, **seed}) == frame_key(f)]
     assert [frame_key(f) for f in seeded] == [frame_key(f) for f in filtered]
 
@@ -358,7 +357,7 @@ def test_insert_order_does_not_matter(quads, query, seed_int):
     random.Random(seed_int).shuffle(shuffled)
     s2 = QuadStore()
     s2.insert(shuffled)
-    assert s1.evaluate(query) == s2.evaluate(query)
+    assert s1.evaluate(query, namespaces=PROP_NS) == s2.evaluate(query, namespaces=PROP_NS)
 
 
 # ---------------------------------------------------------------- graph view
