@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .concepts import BUILTINS
-from .core import to_jsonable, from_jsonable
+from .core import to_jsonable
 from .engine import DEFAULT_PREFIX, Engine, EngineError, RecoveryError, normalize_flows
-from .gateway import DEFAULT_TIMEOUT, Runtime, make_server, reply_parts
+from .gateway import Runtime, decode_payload, make_server, reply_parts
 from .speclang import SpecError, parse_concept
 from .synclang import SyncError, parse_syncs
 
 _DEFS = Path(__file__).resolve().parent / "defs"
 
-_KEYS = ("prefix", "version", "concepts", "syncs", "log", "bind", "step_limit", "bootstrap", "timeout")
+_KEYS = ("prefix", "version", "concepts", "syncs", "log", "bind", "step_limit", "bootstrap")
 
 
 class ConfigError(Exception):
@@ -38,7 +38,6 @@ class AppConfig:
     bind: str = "127.0.0.1:8799"
     step_limit: int = 10_000
     bootstrap: str = "Web"
-    timeout: float = DEFAULT_TIMEOUT
 
 
 def _resolve(base: Path, text: str) -> Path:
@@ -87,8 +86,6 @@ def load_config(path) -> AppConfig:
         cfg.step_limit = int(values["step_limit"])
     if "bootstrap" in values:
         cfg.bootstrap = values["bootstrap"]
-    if "timeout" in values:
-        cfg.timeout = float(values["timeout"])
 
     if os.environ.get("TANDEM_LOG"):
         cfg.log = Path(os.environ["TANDEM_LOG"])
@@ -146,12 +143,6 @@ def render_trace(trace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _unwrap(payload: dict) -> dict:
-    if len(payload) == 1 and isinstance(next(iter(payload.values())), dict):
-        return next(iter(payload.values()))
-    return payload
-
-
 def _lint_or_die(eng: Engine) -> None:
     diags = eng.lint()
     if diags:
@@ -185,8 +176,7 @@ def cmd_run(args) -> int:
     eng = assemble(cfg)
     _lint_or_die(eng)
     _open_log(eng, cfg)
-    runtime = Runtime(eng, timeout=cfg.timeout)
-    runtime.start()
+    runtime = Runtime(eng)
     host, _, port = cfg.bind.rpartition(":")
     server = make_server(runtime, host or "127.0.0.1", int(port))
     # what start-up built (modules, specs, compiled rules, recovered history)
@@ -201,7 +191,7 @@ def cmd_run(args) -> int:
         pass
     finally:
         server.server_close()
-        runtime.stop()
+        runtime.close()
     return 0
 
 
@@ -209,27 +199,26 @@ def cmd_request(args) -> int:
     cfg = load_config(args.config)
     eng = assemble(cfg)
     _lint_or_die(eng)
-    _open_log(eng, cfg)
+    payload = {}
     if args.payload:
-        payload = _unwrap(from_jsonable(json.loads(Path(args.payload).read_text())))
-    else:
-        payload = {}
+        try:
+            payload = decode_payload(json.loads(Path(args.payload).read_text()))
+        except ValueError as exc:
+            print(f"bad payload: {exc}", file=sys.stderr)
+            return 1
     payload["method"] = args.method
     if args.token:
         payload["token"] = args.token
-    flow = eng.submit_external(eng.bootstrap, "request", payload)
-    eng.run_to_quiescence()
-    eng.close()
-    trace = eng.trace_flow(flow)
-    respond = next(
-        (r for r in eng.flow_records(flow) if r.name == "respond" and r.is_completion), None
-    )
+    _open_log(eng, cfg)
+    runtime = Runtime(eng)
+    flow, respond = runtime.submit(payload)
+    runtime.close()
     if respond is not None:
         code, doc = reply_parts(respond)
         print(f"{code} {json.dumps(doc, sort_keys=True)}")
     else:
         print("no response", file=sys.stderr)
-    print(render_trace(trace), end="")
+    print(render_trace(eng.trace_flow(flow)), end="")
     return 0 if respond is not None else 2
 
 
@@ -237,11 +226,7 @@ def cmd_replay(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else cfg.log
     recovered = assemble(cfg)
-    try:
-        log_version = recovered.recover_from(log_path)
-    except RecoveryError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
-        return 1
+    log_version = recovered.recover_from(log_path)
     recovered.run_to_quiescence()
     recovered.close()
 
@@ -264,11 +249,7 @@ def cmd_trace(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else cfg.log
     eng = assemble(cfg)
-    try:
-        eng.recover_from(log_path, resume=False)
-    except RecoveryError as exc:
-        print(f"recovery failed: {exc}", file=sys.stderr)
-        return 1
+    eng.recover_from(log_path, resume=False)
     trace = eng.trace_flow(args.flow)
     print(render_trace(trace), end="")
     return 0 if trace.nodes else 1

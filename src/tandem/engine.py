@@ -29,7 +29,6 @@ from .core import (
     DEFAULT_SCHEMA,
     UUID_RE,
     ActionRecord,
-    Schema,
     SyncEdge,
     edge_from_doc,
     edge_to_json,
@@ -186,12 +185,11 @@ class Engine:
         self,
         prefix: str = DEFAULT_PREFIX,
         version: str = "dev",
-        schema: Schema = DEFAULT_SCHEMA,
         step_limit: int = 10_000,
     ) -> None:
         self.prefix = prefix
         self.version = version
-        self.schema = schema
+        self.schema = DEFAULT_SCHEMA
         self.step_limit = step_limit
         self.store = QuadStore()
         self.concepts: dict[str, tuple[ConceptSpec, object]] = {}
@@ -208,7 +206,6 @@ class Engine:
         self.fired: set = set()
         self.queue: deque = deque()
         self._by_iri: dict[str, str] = {}
-        self._edge_groups: dict[tuple, set] = {}
         self._log = None
         self._log_path: Path | None = None
         self._lock = threading.RLock()
@@ -298,7 +295,6 @@ class Engine:
         source = self.records.get(edge.from_id)
         if source is not None:
             self._edges_by_flow.setdefault(source.flow, []).append(edge)
-        self._edge_groups.setdefault((edge.sync, edge.to_id), set()).add(edge.from_id)
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -452,11 +448,6 @@ class Engine:
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
                 )
 
-    def queued_flows(self) -> set:
-        """Flows with a completion still waiting for its matching pass."""
-        with self._lock:
-            return {self.records[rid].flow for rid in self.queue}
-
     def pending_matches(self) -> list:
         """Every (sync name, FiringKey) a fresh matching pass would fire now.
 
@@ -521,10 +512,11 @@ class Engine:
                 else:
                     maybe_pending.append(rec.id)
             pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
-            self.fired = {
-                (sync, tuple(sorted(froms)))
-                for (sync, _to), froms in self._edge_groups.items()
-            }
+            # one firing = the edges of one rule into one target
+            sources: dict[tuple, set] = {}
+            for e in self.edges:
+                sources.setdefault((e.sync, e.to_id), set()).add(e.from_id)
+            self.fired = {(sync, tuple(sorted(froms))) for (sync, _to), froms in sources.items()}
             if resume:
                 # every completion gets another matching pass; the guards
                 # make the ones that already fired inert

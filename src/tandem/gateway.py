@@ -2,9 +2,10 @@
 
 One POST becomes one flow: the path names the method, the JSON body becomes
 the request payload, and the reply is whatever Web/respond recorded for that
-flow, or 504 when the flow goes quiet without one. A single worker thread
-owns all rule evaluation; handler threads only enqueue submissions and wait
-for their flow to go quiet.
+flow, or 504 when the flow goes quiet without one. The runtime serves one
+flow at a time: a request's handler thread submits it and runs the engine
+itself, under the runtime's lock, until the flow goes quiet. There is no
+worker thread.
 """
 
 from __future__ import annotations
@@ -16,70 +17,47 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .core import from_jsonable, to_jsonable
 from .engine import Engine, EngineError
 
-DEFAULT_TIMEOUT = 5.0
-
 
 class Runtime:
-    """Engine plus the evaluation thread and per-flow response signaling."""
+    """An engine that serves one external request at a time."""
 
-    def __init__(self, engine: Engine, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.timeout = timeout
-        self._waiters: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._loop, name="tandem-engine", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        self.engine.close()
-
-    def _respond_of(self, flow: str):
-        for rec in self.engine.flow_records(flow):
-            if rec.name == "respond" and rec.is_completion:
-                return rec
-        return None
-
-    def _loop(self) -> None:
-        while True:
-            self._wake.wait()
-            if self._stop.is_set():
-                return
-            self._wake.clear()
-            try:
-                self.engine.run_to_quiescence()
-            except EngineError as exc:
-                # flows left queued time out; the condition is operator-level
-                print(f"engine halted: {exc}", flush=True)
-            # a flow with nothing left queued is answered now, with its
-            # respond or without one; waiters are read before the queue so
-            # a flow submitted meanwhile is seen as still queued
-            with self._lock:
-                waiting = list(self._waiters.items())
-            queued = self.engine.queued_flows()
-            for flow, event in waiting:
-                if flow not in queued:
-                    event.set()
-
-    def submit(self, payload: dict, timeout: float | None = None):
+    def submit(self, payload: dict):
         """Run one external request; returns (flow, respond record or None)."""
-        event = threading.Event()
-        flow = self.engine.submit_external(self.engine.bootstrap, "request", payload)
+        eng = self.engine
         with self._lock:
-            self._waiters[flow] = event
-        self._wake.set()
-        event.wait(self.timeout if timeout is None else timeout)
+            flow = eng.submit_external(eng.bootstrap, "request", payload)
+            # the lock admits one request at a time, so no other flow is
+            # queued (unless a halted run left its flow behind): the run
+            # ends exactly when this flow goes quiet
+            eng.run_to_quiescence()
+            respond = next(
+                (r for r in eng.flow_records(flow) if r.name == "respond" and r.is_completion), None
+            )
+        return flow, respond
+
+    def close(self) -> None:
+        # a flow in progress is logged in full before the log closes
         with self._lock:
-            self._waiters.pop(flow, None)
-        return flow, self._respond_of(flow)
+            self.engine.close()
+
+
+def decode_payload(doc) -> dict:
+    """The request record a parsed JSON document stands for.
+
+    RealWorld-style envelopes ({"user": {...}}) flatten one level. Raises
+    ValueError when a value is not a tandem value or the result is not a
+    record.
+    """
+    if isinstance(doc, dict) and len(doc) == 1 and isinstance(next(iter(doc.values())), dict):
+        doc = next(iter(doc.values()))
+    payload = from_jsonable(doc)
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    return payload
 
 
 def reply_parts(respond) -> tuple[int, dict]:
@@ -126,13 +104,11 @@ class ApiHandler(BaseHTTPRequestHandler):
         except (ValueError, TypeError):
             self._send(400, {"error": "request body is not valid JSON"})
             return
-        if not isinstance(body, dict):
-            self._send(400, {"error": "request body must be a JSON object"})
+        try:
+            payload = decode_payload(body)
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
             return
-        # RealWorld-style envelopes ({"user": {...}}) flatten one level
-        if len(body) == 1 and isinstance(next(iter(body.values())), dict):
-            body = next(iter(body.values()))
-        payload = dict(from_jsonable(body))
         payload["method"] = method  # the path owns the method name
         auth = self.headers.get("Authorization", "")
         if auth.startswith("Token "):
@@ -140,7 +116,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         try:
             flow, respond = self.server.runtime.submit(payload)
         except EngineError as exc:
-            self._send(400, {"error": str(exc)})
+            self._send(503, {"error": f"engine halted: {exc}"})
             return
         if respond is None:
             self._send(504, {"error": "no response", "flow": flow})

@@ -50,11 +50,10 @@ def run_main(capsys, *argv):
 # ------------------------------------------------------------------ config
 
 def test_load_config_reads_all_keys(tmp_path):
-    path = write_config(tmp_path, step_limit="123", timeout="0.5")
+    path = write_config(tmp_path, step_limit="123")
     cfg = load_config(path)
     assert cfg.version == "t1"
     assert cfg.step_limit == 123
-    assert cfg.timeout == 0.5
     assert len(cfg.concepts) == 9 and len(cfg.syncs) == 6
     assert all(p.exists() for p in cfg.concepts + cfg.syncs)
 
@@ -229,6 +228,33 @@ def test_trace_unknown_flow_exits_nonzero(tmp_path, capsys):
     code, out, _ = run_main(capsys, "-c", str(path), "trace", "no-such-flow")
     assert code == 1
     assert "no records" in out
+
+
+@pytest.mark.parametrize("command", ["trace", "replay"])
+def test_corrupt_middle_line_fails_recovery(tmp_path, capsys, command):
+    path = write_config(tmp_path)
+    payload = tmp_path / "register.json"
+    payload.write_text(json.dumps(register_payload()))
+    run_main(capsys, "-c", str(path), "request", "register", str(payload))
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    middle = len(lines) // 2
+    lines[middle] = "{not json"
+    corrupt = tmp_path / "corrupt.log"
+    corrupt.write_text("".join(line + "\n" for line in lines))
+    argv = ["trace", "some-flow", "--log", str(corrupt)] if command == "trace" else ["replay", str(corrupt)]
+    code, _, err = run_main(capsys, "-c", str(path), *argv)
+    assert code == 1
+    assert f"recovery failed: line {middle + 1}" in err
+
+
+def test_request_with_malformed_payload_is_refused(tmp_path, capsys):
+    path = write_config(tmp_path)
+    payload = tmp_path / "bad.json"
+    payload.write_text('{"user": {"age": 1.5}}')
+    code, _, err = run_main(capsys, "-c", str(path), "request", "register", str(payload))
+    assert code == 1
+    assert err.startswith("bad payload: floats are not valid values")
+    assert not (tmp_path / "run.log").exists()  # refused before the log is opened
 
 
 def test_run_resumes_its_log(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""HTTP gateway: request mapping, response shaping, timeouts."""
+"""HTTP gateway: request mapping, response shaping, answers without a respond."""
+import contextlib
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -10,22 +12,28 @@ import pytest
 from support import build_engine, register_payload, respond_body, responds
 from tandem.engine import normalize_flows
 from tandem.gateway import Runtime, make_server, reply_parts
+from tandem.synclang import parse_syncs
 
 
-@pytest.fixture()
-def served(request):
-    eng = build_engine()
-    # happy paths return on the flow event; only flows still working wait it out
-    runtime = Runtime(eng, timeout=getattr(request, "param", 1.0))
-    runtime.start()
+@contextlib.contextmanager
+def serving(eng):
+    runtime = Runtime(eng)
     server = make_server(runtime, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield eng, base
-    server.shutdown()
-    server.server_close()
-    runtime.stop()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        runtime.close()
+
+
+@pytest.fixture()
+def served():
+    eng = build_engine()
+    with serving(eng) as base:
+        yield eng, base
 
 
 def post(base, path, doc=None, headers=None, timeout=10):
@@ -67,33 +75,56 @@ def test_duplicate_email_maps_to_422(served):
     assert "email already taken" in doc["error"]
 
 
-def test_unmatched_method_times_out_with_flow_id():
-    eng = build_engine()
-    runtime = Runtime(eng, timeout=0.2)
-    runtime.start()
-    server = make_server(runtime, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        status, doc = post(base, "/api/nonsense", {"x": 1})
-        assert status == 504
-        assert doc["flow"]
-        assert eng.flow_records(doc["flow"])  # the root action still happened
-    finally:
-        server.shutdown()
-        server.server_close()
-        runtime.stop()
-
-
-@pytest.mark.parametrize("served", [5.0], indirect=True)
-def test_quiet_flow_without_respond_is_answered_at_once(served):
+def test_unmatched_method_times_out_with_flow_id(served):
+    # 504 (gateway timeout) names the flow that went quiet without a respond
     eng, base = served
-    start = time.monotonic()
     status, doc = post(base, "/api/nonsense", {"x": 1})
     assert status == 504
-    assert time.monotonic() - start < 1.0  # not the 5 s timeout
+    assert doc["flow"]
+    # the root action still happened, and nothing else did
     assert [r.name for r in eng.flow_records(doc["flow"])] == ["request"]
+
+
+@pytest.mark.parametrize("client_wait", [5.0])
+def test_quiet_flow_without_respond_is_answered_at_once(served, client_wait):
+    _, base = served
+    start = time.monotonic()
+    status, _ = post(base, "/api/nonsense", {"x": 1}, timeout=client_wait)
+    assert status == 504
+    assert time.monotonic() - start < 1.0  # the flow is quiet, so nothing is waited out
+
+
+def test_engine_halt_gets_503_at_once():
+    eng = build_engine(rules=(), step_limit=25)
+    eng.register_syncs(parse_syncs(
+        'sync Echo when { Web/format: [] => [] } then { Web/format: [ type: "echo" ] }'
+    ))
+    eng.register_syncs(parse_syncs(
+        'sync Kickoff when { Web/request: [ method: "loop" ] => [] } then { Web/format: [ type: "echo" ] }'
+    ))
+    with serving(eng) as base:
+        start = time.monotonic()
+        status, doc = post(base, "/api/loop")
+        assert time.monotonic() - start < 1.0
+    assert status == 503
+    assert doc["error"].startswith("engine halted: no quiescence")
+
+
+@pytest.mark.parametrize("body", [
+    '{"x": null}',
+    '{"user": {"age": 1.5}}',
+    '{"x": 99999999999999999999999}',
+    '{"x": {"$ref": "a://b"}}',
+    '{"$ref": "nope"}',
+])
+def test_malformed_values_get_400(served, body):
+    _, base = served
+    req = urllib.request.Request(base + "/api/register", data=body.encode(), method="POST")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req, timeout=10)
+    with err.value:
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]
 
 
 def test_authorization_header_becomes_token_field(served):
@@ -118,6 +149,41 @@ def test_unknown_path_is_404(served):
     _, base = served
     status, _ = post(base, "/healthz", {})
     assert status == 404
+
+
+def test_concurrent_submits_each_get_their_own_answer():
+    eng = build_engine()
+    runtime = Runtime(eng)
+    payloads = [register_payload(name=f"u{t}-{i}", email=f"u{t}-{i}@example.org")
+                for t in range(8) for i in range(5)]
+    answers = {}
+
+    def client(batch):
+        for p in batch:
+            answers[p["username"]] = runtime.submit(p)
+
+    threads = [threading.Thread(target=client, args=(payloads[t::8],)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(answers) == len(payloads)
+    for name, (flow, respond) in answers.items():
+        assert len(responds(eng, flow)) == 1
+        assert reply_parts(respond)[1]["user"]["username"] == name
+    assert not eng.queue and eng.pending_matches() == []
+
+    direct = build_engine()
+    for p in payloads:
+        direct.submit_external("Web", "request", p)
+        direct.run_to_quiescence()
+    assert normalize_flows(eng.actions()) == normalize_flows(direct.actions())
 
 
 def test_http_flow_equals_direct_flow(served):
