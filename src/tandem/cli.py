@@ -203,7 +203,7 @@ def cmd_request(args) -> int:
     if args.payload:
         try:
             payload = decode_payload(json.loads(Path(args.payload).read_text()))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             print(f"bad payload: {exc}", file=sys.stderr)
             return 1
     payload["method"] = args.method

@@ -252,17 +252,31 @@ def from_jsonable(value):
     return canonical_value(value)
 
 
+def _json_default(value):
+    # called only for what json cannot encode itself, wherever it is nested
+    if value is NIL:
+        return []
+    if isinstance(value, Ref):
+        return {"$ref": value.iri}
+    raise TypeError(f"not a value: {value!r}")
+
+
+# one encoder for every log line: it maps values as to_jsonable does, without
+# the copy, and json.dumps with these separators would build one per call
+_LOG_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+
+
 def record_to_json(rec: ActionRecord) -> str:
     doc = {
         "id": rec.id,
         "concept": rec.concept,
         "name": rec.name,
         "flow": rec.flow,
-        "input": to_jsonable(rec.input),
+        "input": rec.input,
     }
     if rec.output is not None:
-        doc["output"] = to_jsonable(rec.output)
-    return json.dumps(doc, separators=(",", ":"))
+        doc["output"] = rec.output
+    return _LOG_ENCODER.encode(doc)
 
 
 def record_from_json(line: str) -> ActionRecord:
@@ -282,7 +296,7 @@ def record_from_doc(doc: dict) -> ActionRecord:
 
 
 def edge_to_json(edge: SyncEdge) -> str:
-    return json.dumps({"from": edge.from_id, "sync": edge.sync, "to": edge.to_id}, separators=(",", ":"))
+    return _LOG_ENCODER.encode({"from": edge.from_id, "sync": edge.sync, "to": edge.to_id})
 
 
 def edge_from_json(line: str) -> SyncEdge:

@@ -14,6 +14,16 @@ Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
 patterns name. Records and edges are indexed by flow, so matching a
 completion and tracing a flow cost as much as that flow, not the history.
+
+Matching a completion has two stages, as in the alpha and beta networks of
+RETE. The alpha test visits a filed rule only if the completion alone
+satisfies one of the rule's patterns on its (concept, action), so a
+registration skips every rule whose literal names another method, and a
+successful action skips the rules that require its error field. The join
+then fills the remaining patterns from the flow's completions, filtered once
+per pattern by (concept, action), depth first on an explicit stack: it builds
+no closure, so a flow leaves no cyclic garbage for the collector. Log lines
+are encoded by one shared encoder in core, without copying the values.
 """
 
 from __future__ import annotations
@@ -201,8 +211,9 @@ class Engine:
         # per flow: its records (in self.records order) and the edges leaving them
         self._by_flow: dict[str, dict[str, ActionRecord]] = {}
         self._edges_by_flow: dict[str, list[SyncEdge]] = {}
-        # (concept iri, action) -> rules with a when pattern on it, in registration order
-        self._triggers: dict[tuple, list[_Rule]] = {}
+        # (concept iri, action) -> (rule, its (inputs, outputs) patterns on it),
+        # in registration order
+        self._triggers: dict[tuple, list[tuple]] = {}
         self.fired: set = set()
         self.queue: deque = deque()
         self._by_iri: dict[str, str] = {}
@@ -238,7 +249,8 @@ class Engine:
             # a rule with no pattern on a completion's (concept, action) can
             # never count that completion as its trigger, so it is not visited
             for trigger in dict.fromkeys(pat[:2] for pat in rule.when):
-                self._triggers.setdefault(trigger, []).append(rule)
+                pats = tuple((p[2], p[3]) for p in rule.when if p[:2] == trigger)
+                self._triggers.setdefault(trigger, []).append((rule, pats))
 
     def _compile(self, sync: SyncDef) -> _Rule:
         return _Rule(
@@ -340,33 +352,55 @@ class Engine:
             self.queue.append(done.id)
             return flow
 
+    def _visits(self, trigger: ActionRecord):
+        """The rules a completion can fire, in registration order.
+
+        This is the alpha test: a rule is visited only if the trigger alone
+        satisfies one of its when patterns on the trigger's (concept,
+        action), literals and required fields included. A rule that fails
+        it can never count the trigger, so its join would find nothing.
+        """
+        for rule, pats in self._triggers.get((trigger.concept, trigger.name), ()):
+            for inputs, outputs in pats:
+                frame = _match_fields(inputs, trigger.input, {})
+                if frame is not None and _match_fields(outputs, trigger.output, frame) is not None:
+                    yield rule
+                    break
+
     def _match_when(self, rule: _Rule, trigger: ActionRecord) -> list:
         """Frames where the trigger fills one when pattern and same-flow
         completions fill the rest; already-fired keys are excluded."""
-        flow_recs = [r for r in self._by_flow[trigger.flow].values() if r.is_completion]
-        name = rule.sync.name
+        flow_recs = self._by_flow[trigger.flow].values()
         pats = rule.when
+        # each pattern's candidates: the flow's completions on its (concept, action)
+        cands = [
+            [r for r in flow_recs if r.concept == iri and r.name == action and r.output is not None]
+            for iri, action, _inputs, _outputs in pats
+        ]
+        name = rule.sync.name
         results = []
         seen = set()
-
-        def extend(i, frame, used, hit):
+        # depth-first join on an explicit stack: children are pushed in
+        # reverse so frames come off in the order a recursive join visits them
+        stack = [(0, {}, (), False)]
+        while stack:
+            i, frame, used, hit = stack.pop()
             if i == len(pats):
                 if not hit:
-                    return
+                    continue
                 key = (name, tuple(sorted(used)))
                 if key in self.fired:
-                    return
+                    continue
                 mark = (key, frame_key(frame))
                 if mark in seen:
-                    return
+                    continue
                 seen.add(mark)
                 results.append((frame, key))
-                return
-            iri, action, inputs, outputs = pats[i]
-            for rec in flow_recs:
+                continue
+            _iri, _action, inputs, outputs = pats[i]
+            children = []
+            for rec in cands[i]:
                 if rec.id in used:
-                    continue
-                if rec.concept != iri or rec.name != action:
                     continue
                 nxt = _match_fields(inputs, rec.input, frame)
                 if nxt is None:
@@ -374,9 +408,8 @@ class Engine:
                 nxt = _match_fields(outputs, rec.output, nxt)
                 if nxt is None:
                     continue
-                extend(i + 1, nxt, used + (rec.id,), hit or rec.id == trigger.id)
-
-        extend(0, {}, (), False)
+                children.append((i + 1, nxt, used + (rec.id,), hit or rec.id == trigger.id))
+            stack.extend(reversed(children))
         return results
 
     def _fire(self, rule: _Rule, frame: dict, key: tuple, flow: str) -> list:
@@ -422,7 +455,7 @@ class Engine:
             if not self.queue:
                 return False
             trigger = self.records[self.queue.popleft()]
-            for rule in self._triggers.get((trigger.concept, trigger.name), ()):
+            for rule in self._visits(trigger):
                 for frame, key in self._match_when(rule, trigger):
                     for inv in self._fire(rule, frame, key, trigger.flow):
                         self._dispatch(inv)
@@ -459,7 +492,7 @@ class Engine:
             for rec in self.records.values():
                 if not rec.is_completion:
                     continue
-                for rule in self._triggers.get((rec.concept, rec.name), ()):
+                for rule in self._visits(rec):
                     for _frame, key in self._match_when(rule, rec):
                         out.append((rule.sync.name, key))
             return out

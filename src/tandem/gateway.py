@@ -45,13 +45,37 @@ class Runtime:
             self.engine.close()
 
 
+# Request bodies nest a few levels. Converting and logging a value recurses
+# once per level, and how deep Python lets that go differs between versions,
+# so a fixed bound far below every version's limit gives a body the same
+# answer on all of them, and keeps the log of one readable by the others.
+MAX_NESTING = 100
+_TOO_DEEP = f"request body nests deeper than {MAX_NESTING} levels"
+
+
+def _nests_deeper_than(doc, limit: int) -> bool:
+    stack = [(doc, 1)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, list):
+            continue
+        if depth > limit:
+            return True
+        stack.extend((v, depth + 1) for v in value)
+    return False
+
+
 def decode_payload(doc) -> dict:
     """The request record a parsed JSON document stands for.
 
     RealWorld-style envelopes ({"user": {...}}) flatten one level. Raises
-    ValueError when a value is not a tandem value or the result is not a
-    record.
+    ValueError when lists and objects nest more than MAX_NESTING deep, a
+    value is not a tandem value, or the result is not a record.
     """
+    if _nests_deeper_than(doc, MAX_NESTING):
+        raise ValueError(_TOO_DEEP)
     if isinstance(doc, dict) and len(doc) == 1 and isinstance(next(iter(doc.values())), dict):
         doc = next(iter(doc.values()))
     payload = from_jsonable(doc)
@@ -101,6 +125,9 @@ class ApiHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
             body = json.loads(self.rfile.read(length) or b"{}")
+        except RecursionError:
+            self._send(400, {"error": _TOO_DEEP})
+            return
         except (ValueError, TypeError):
             self._send(400, {"error": "request body is not valid JSON"})
             return

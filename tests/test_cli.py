@@ -257,6 +257,17 @@ def test_request_with_malformed_payload_is_refused(tmp_path, capsys):
     assert not (tmp_path / "run.log").exists()  # refused before the log is opened
 
 
+@pytest.mark.parametrize("depth", [950, 100_000])
+def test_request_with_deeply_nested_payload_is_refused(tmp_path, capsys, depth):
+    path = write_config(tmp_path)
+    payload = tmp_path / "deep.json"
+    payload.write_text('{"x": ' + "[" * depth + "]" * depth + "}")
+    code, _, err = run_main(capsys, "-c", str(path), "request", "register", str(payload))
+    assert code == 1
+    assert err.startswith("bad payload: ")
+    assert not (tmp_path / "run.log").exists()
+
+
 def test_run_resumes_its_log(tmp_path, capsys):
     path = write_config(tmp_path)
     payload = tmp_path / "register.json"

@@ -1,4 +1,5 @@
 """Engine behavior: matching, firing, provenance, recovery, tracing."""
+import gc
 import json
 import random
 import tempfile
@@ -564,6 +565,83 @@ def test_rule_registered_late_fires_on_new_completions():
     assert [short(r) for r in eng.flow_records(before)] == ["Web/request"]
     assert [short(r) for r in eng.flow_records(after)] == ["Web/request", "Web/respond", "Web/format"]
     assert eng.trace_flow(after).sync_labels() == {"Pong", "Audit"}
+
+
+# ------------------------------------------- matching: alpha test, garbage
+
+def _rule_visits(eng, payload):
+    """Run one flow; (trigger, rule) for every rule its steps joined, in order."""
+    visits = []
+    match = eng._match_when
+
+    def spy(rule, trigger):
+        visits.append((short(trigger), rule.sync.name))
+        return match(rule, trigger)
+
+    eng._match_when = spy
+    try:
+        run_flow(eng, payload)
+    finally:
+        del eng._match_when
+    return visits
+
+
+def _visited_by(visits, trigger):
+    return [rule for on, rule in visits if on == trigger]
+
+
+def test_registration_request_visits_only_rules_it_can_fire():
+    # of the 15 demo rules on Web/request, only those with method "register"
+    # or with no literal at all can count a registration as their trigger
+    eng = build_engine(rules=ARTICLE_RULES)
+    visits = _rule_visits(eng, register_payload())
+    assert _visited_by(visits, "Web/request") == [
+        "Registration", "NewPassword", "RegistrationResponse", "RegistrationError", "PasswordSetError",
+    ]
+
+
+def test_successful_register_does_not_visit_its_error_rule():
+    eng = build_engine()
+    ok = _visited_by(_rule_visits(eng, register_payload()), "User/register")
+    assert "RegistrationError" not in ok
+    assert ok == ["NewPassword", "DefaultProfile", "NewUserToken", "RegistrationResponse"]
+    # the same email again fails, and only the error rule can use that
+    refused = _visited_by(_rule_visits(eng, register_payload(name="alice2")), "User/register")
+    assert refused == ["RegistrationError"]
+
+
+def test_validation_verdict_visits_only_its_own_branch():
+    eng = build_engine(rules=FIXED_RULES)
+    valid = _visited_by(_rule_visits(eng, register_payload()), "Password/validate")
+    assert valid == ["Registration"]
+    invalid = _visited_by(
+        _rule_visits(eng, register_payload(name="bob", email="bob@example.org", password="short")),
+        "Password/validate",
+    )
+    assert invalid == ["ValidationFailedResponse"]
+
+
+def test_flows_leave_no_cyclic_garbage():
+    eng = build_engine(rules=ARTICLE_RULES)
+    f_user, _ = seed_article(eng)  # every code path below runs once before counting
+    token = registered_token(eng, f_user)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(3):
+            run_flow(eng, register_payload(name=f"u{i}", email=f"u{i}@example.org"))
+            run_flow(eng, register_payload(name=f"s{i}", email=f"s{i}@example.org", password="short"))
+            run_flow(eng, {"method": "create_article", "title": f"Post {i}", "description": "d",
+                           "body": "b", "tagList": ["x", "y"], "token": token})
+            run_flow(eng, {"method": "add_comment", "slug": f"post-{i}", "author": "alice", "body": "hm"})
+            run_flow(eng, {"method": "delete_article", "slug": f"post-{i}"})
+            run_flow(eng, {"method": "create_article", "title": "Forged", "description": "d",
+                           "body": "b", "token": "forged"})
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------- differential: firing order

@@ -11,7 +11,7 @@ import pytest
 
 from support import build_engine, register_payload, respond_body, responds
 from tandem.engine import normalize_flows
-from tandem.gateway import Runtime, make_server, reply_parts
+from tandem.gateway import MAX_NESTING, Runtime, decode_payload, make_server, reply_parts
 from tandem.synclang import parse_syncs
 
 
@@ -116,6 +116,9 @@ def test_engine_halt_gets_503_at_once():
     '{"x": 99999999999999999999999}',
     '{"x": {"$ref": "a://b"}}',
     '{"$ref": "nope"}',
+    # nested past the bound, and at 100000 past what json.loads can parse
+    pytest.param('{"x": ' + "[" * 950 + "]" * 950 + "}", id="nested-950"),
+    pytest.param('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000"),
 ])
 def test_malformed_values_get_400(served, body):
     _, base = served
@@ -125,6 +128,13 @@ def test_malformed_values_get_400(served, body):
     with err.value:
         assert err.value.code == 400
         assert json.loads(err.value.read())["error"]
+
+
+def test_nesting_bound_is_exact():
+    at_bound = {"x": json.loads("[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1))}
+    assert "x" in decode_payload(at_bound)
+    with pytest.raises(ValueError, match=f"nests deeper than {MAX_NESTING} levels"):
+        decode_payload({"x": at_bound})
 
 
 def test_authorization_header_becomes_token_field(served):
