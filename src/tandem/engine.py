@@ -24,6 +24,17 @@ then fills the remaining patterns from the flow's completions, filtered once
 per pattern by (concept, action), depth first on an explicit stack: it builds
 no closure, so a flow leaves no cyclic garbage for the collector. Log lines
 are encoded by one shared encoder in core, without copying the values.
+
+Two control lines mark what the log already proves finished. When
+run_to_quiescence has stepped at least one completion and finds the queue
+empty, it appends a quiet mark, {"quiet":true}: every completion logged
+before it has been matched. When it gives up on a flow for exceeding
+step_limit, it takes that flow's completions off the queue and appends a
+halt mark, {"halt":"<flow>"}. Resume re-queues only the completions after
+the last quiet mark and leaves halted flows alone, so a restart re-matches
+the unfinished tail instead of the whole history (redo from the last point
+the log shows complete, as in ARIES). A log without marks re-matches every
+completion, which the firing guards make inert.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 from .core import (
@@ -63,6 +75,8 @@ from .store import (
 from .synclang import Rec, SyncDef, check_syncs
 
 DEFAULT_PREFIX = "https://concepts.example/v0/"
+
+QUIET_LINE = '{"quiet":true}'
 
 
 class EngineError(Exception):
@@ -186,6 +200,16 @@ def normalize_flows(records) -> list[tuple]:
     for rec in records:
         groups.setdefault(rec.flow, []).append(rec)
     return sorted(tuple(normalize_actions(group)) for group in groups.values())
+
+
+def _read_doc(line: str, pos: int) -> dict:
+    try:
+        doc = json.loads(line)
+    except ValueError as exc:
+        raise RecoveryError(f"unreadable log line: {exc}", pos)
+    if not isinstance(doc, dict):
+        raise RecoveryError("log line is not an object", pos)
+    return doc
 
 
 class Engine:
@@ -464,8 +488,11 @@ class Engine:
     def run_to_quiescence(self) -> int:
         """Step until the queue is empty; returns the number of steps.
 
+        A call that stepped anything ends by logging a quiet mark.
         step_limit bounds the steps of each flow, not of the call, so a long
-        backlog or a recovered history is not taken for a rule loop.
+        backlog or a recovered history is not taken for a rule loop. A flow
+        that exceeds it leaves the queue, a halt mark is logged for it, and
+        EngineError is raised.
         """
         steps = 0
         per_flow: dict[str, int] = {}
@@ -473,10 +500,18 @@ class Engine:
             with self._lock:
                 flow = self.records[self.queue[0]].flow if self.queue else None
                 if not self.step():
+                    if steps:
+                        # nothing logged so far is left to match
+                        self._append_batch([QUIET_LINE])
                     return steps
             steps += 1
             per_flow[flow] = per_flow.get(flow, 0) + 1
             if per_flow[flow] > self.step_limit:
+                with self._lock:
+                    # the looping flow is dropped here and on resume, so it
+                    # does not halt every later run of this engine or its log
+                    self.queue = deque(rid for rid in self.queue if self.records[rid].flow != flow)
+                    self._append_batch([json.dumps({"halt": flow}, separators=(",", ":"))])
                 raise EngineError(
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
                 )
@@ -507,6 +542,10 @@ class Engine:
         back from the edge lines, so nothing already evidenced fires twice.
         Returns the version tag the log was written under (None when empty).
 
+        Resume re-queues the completions logged after the last quiet mark,
+        except those of halted flows, and dispatches every invocation that
+        never completed, except in halted flows.
+
         resume=False loads the log read-only for inspection: no reopening,
         no pending dispatch, nothing queued.
         """
@@ -516,23 +555,26 @@ class Engine:
         if lines and lines[-1] == "":
             lines.pop()
         version = None
-        completions: list[str] = []
+        if lines:
+            head = _read_doc(lines[0], 1)
+            if set(head) != {"version"}:
+                raise RecoveryError("missing version header", 1)
+            version = head["version"]
+        completions: list[str] = []  # since the last quiet mark
         maybe_pending: list[str] = []
+        halted: set = set()
         with self._lock:
-            for pos, line in enumerate(lines, start=1):
-                try:
-                    doc = json.loads(line)
-                except ValueError as exc:
-                    raise RecoveryError(f"unreadable log line: {exc}", pos)
-                if not isinstance(doc, dict):
-                    raise RecoveryError("log line is not an object", pos)
-                if pos == 1:
-                    if set(doc) != {"version"}:
-                        raise RecoveryError("missing version header", 1)
-                    version = doc["version"]
+            for pos, line in enumerate(islice(lines, 1, None), start=2):
+                if line == QUIET_LINE:
+                    completions.clear()
                     continue
-                if set(doc) == {"from", "sync", "to"}:
+                doc = _read_doc(line, pos)
+                keys = doc.keys()
+                if keys == {"from", "sync", "to"}:
                     self._insert_edge(edge_from_doc(doc))
+                    continue
+                if keys == {"halt"} and isinstance(doc["halt"], str):
+                    halted.add(doc["halt"])
                     continue
                 try:
                     rec = record_from_doc(doc)
@@ -545,14 +587,17 @@ class Engine:
                 else:
                     maybe_pending.append(rec.id)
             pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
+            if halted:
+                completions = [rid for rid in completions if self.records[rid].flow not in halted]
+                pending = [rid for rid in pending if self.records[rid].flow not in halted]
             # one firing = the edges of one rule into one target
             sources: dict[tuple, set] = {}
             for e in self.edges:
                 sources.setdefault((e.sync, e.to_id), set()).add(e.from_id)
             self.fired = {(sync, tuple(sorted(froms))) for (sync, _to), froms in sources.items()}
             if resume:
-                # every completion gets another matching pass; the guards
-                # make the ones that already fired inert
+                # the completions the log does not show matched get another
+                # pass; the guards make the ones that already fired inert
                 self.queue.extend(completions)
         if not resume:
             return version

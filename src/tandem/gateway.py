@@ -30,8 +30,8 @@ class Runtime:
         eng = self.engine
         with self._lock:
             flow = eng.submit_external(eng.bootstrap, "request", payload)
-            # the lock admits one request at a time, so no other flow is
-            # queued (unless a halted run left its flow behind): the run
+            # the lock admits one request at a time and a halted run takes
+            # its flow off the queue, so no other flow is queued: the run
             # ends exactly when this flow goes quiet
             eng.run_to_quiescence()
             respond = next(

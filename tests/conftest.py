@@ -1,5 +1,13 @@
-"""Pytest wiring: one verdict line per acceptance criterion after the run."""
+"""Pytest wiring: one verdict line per acceptance criterion after the run,
+and the hypothesis profile named by HYPOTHESIS_PROFILE ("ci" prints the
+reproducer blob of a failing example)."""
+import os
 import re
+
+from hypothesis import settings
+
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_c(\d+)_(\w+)")
 

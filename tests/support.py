@@ -9,6 +9,12 @@ ORIGINAL_RULES = ("registration", "onboarding", "errors")
 FIXED_RULES = ("bugfix", "onboarding", "errors")
 ARTICLE_RULES = ORIGINAL_RULES + ("articles", "formatting", "moderation")
 
+# a "loop" request starts a Web/format chain that never ends
+LOOP_SYNCS = (
+    'sync Echo when { Web/format: [] => [] } then { Web/format: [ type: "echo" ] }\n'
+    'sync Kickoff when { Web/request: [ method: "loop" ] => [] } then { Web/format: [ type: "echo" ] }'
+)
+
 
 def sync_text(stem: str) -> str:
     return (DEFS / f"{stem}.sync").read_text()

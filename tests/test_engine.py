@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from support import (
     ARTICLE_RULES,
     FIXED_RULES,
+    LOOP_SYNCS,
     ORIGINAL_RULES,
     build_engine,
     register_payload,
@@ -24,7 +25,15 @@ from support import (
 )
 from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
 from tandem.core import Ref, qualify, to_jsonable
-from tandem.engine import Engine, EngineError, RecoveryError, _match_fields, normalize_actions
+from tandem.engine import (
+    QUIET_LINE,
+    Engine,
+    EngineError,
+    RecoveryError,
+    _match_fields,
+    normalize_actions,
+    normalize_flows,
+)
 from tandem.store import dump, frame_key
 from tandem.speclang import parse_concept
 from tandem.synclang import parse_syncs
@@ -204,6 +213,52 @@ def test_rule_loop_hits_step_limit():
     eng.submit_external("Web", "request", {"method": "loop"})
     with pytest.raises(EngineError, match="quiescence"):
         eng.run_to_quiescence()
+
+
+def _halted_loop(path):
+    """A logged engine with one registration whose "loop" flow has just
+    halted; returns it and the looping flow."""
+    eng = build_engine(step_limit=25)
+    eng.register_syncs(parse_syncs(LOOP_SYNCS))
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    flow = eng.submit_external("Web", "request", {"method": "loop"})
+    with pytest.raises(EngineError, match="quiescence"):
+        eng.run_to_quiescence()
+    return eng, flow
+
+
+def test_halted_flow_leaves_the_queue_and_is_logged(tmp_path):
+    eng, flow = _halted_loop(tmp_path / "run.log")
+    assert not eng.queue
+    halt = json.dumps({"halt": flow}, separators=(",", ":"))
+    assert (tmp_path / "run.log").read_text().splitlines()[-1] == halt
+    later = run_flow(eng, register_payload(name="bob", email="bob@example.org"))
+    assert len(responds(eng, later)) == 1
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_halted_flow_is_not_resumed(tmp_path, pending):
+    path = tmp_path / "run.log"
+    eng, flow = _halted_loop(path)
+    eng.close()
+    if pending:
+        # as if the looping flow's last invocation had never completed
+        lines = path.read_text().splitlines()
+        del lines[max(i for i, line in enumerate(lines) if '"output"' in line)]
+        path.write_text("".join(line + "\n" for line in lines))
+    size = path.stat().st_size
+    loaded = build_engine()
+    loaded.recover_from(path, resume=False)
+
+    eng2 = build_engine(step_limit=25)
+    eng2.register_syncs(parse_syncs(LOOP_SYNCS))
+    eng2.recover_from(path)
+    assert not eng2.queue
+    eng2.run_to_quiescence()
+    eng2.close()
+    assert path.stat().st_size == size  # the halted flow was neither matched nor dispatched
+    assert normalize_actions(eng2.actions()) == normalize_actions(loaded.actions())
 
 
 # ----------------------------------------------------------------- cascade
@@ -442,10 +497,12 @@ def test_step_limit_bounds_each_flow_not_the_backlog(tmp_path):
     for i in range(20):
         run_flow(eng, register_payload(name=f"user{i}", email=f"user{i}@example.org"))
     eng.close()
+    unmarked = _strip_marks(path, tmp_path / "unmarked.log")
 
     # recovery re-queues all 120 completions; no single flow takes 100 steps
     eng2 = build_engine(step_limit=100)
-    eng2.recover_from(path)
+    eng2.recover_from(unmarked)
+    assert len(eng2.queue) == 120
     eng2.run_to_quiescence()
     flow = run_flow(eng2, register_payload(name="late", email="late@example.org"))
     assert len(responds(eng2, flow)) == 1
@@ -457,6 +514,84 @@ def test_step_limit_bounds_each_flow_not_the_backlog(tmp_path):
     eng2.run_to_quiescence()
     assert all(len(responds(eng2, f)) == 1 for f in backlog)
     eng2.close()
+
+
+def _strip_marks(path, dest):
+    """A copy of a log without its quiet marks, as written before there were any."""
+    lines = [line for line in path.read_text().splitlines() if line != QUIET_LINE]
+    dest.write_text("".join(line + "\n" for line in lines))
+    return dest
+
+
+def _spy_batches(eng):
+    """Record the line count after each appended batch, header included."""
+    boundaries = [1]
+    original = eng._append_batch
+
+    def spy(lines):
+        original(lines)
+        boundaries.append(boundaries[-1] + len(lines))
+
+    eng._append_batch = spy
+    return boundaries
+
+
+def test_recover_finished_log_queues_nothing(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+    eng2 = build_engine(rules=ARTICLE_RULES)
+    eng2.recover_from(path)
+    assert not eng2.queue
+    assert eng2.run_to_quiescence() == 0
+    eng2.close()
+
+
+def test_log_cut_inside_last_flow_queues_only_that_flow(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    boundaries = _spy_batches(eng)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    start = boundaries[-1]
+    last = run_flow(eng, register_payload(name="zed", email="zed@example.org"))
+    eng.close()
+    lines = path.read_text().splitlines()
+    # up to the last flow's third completion, well before its quiet mark
+    completed = [i for i in range(start, len(lines)) if '"output"' in lines[i]]
+    cut = completed[2] + 1
+    assert cut in boundaries and lines[cut] != QUIET_LINE
+    trunc = tmp_path / "trunc.log"
+    trunc.write_text("".join(line + "\n" for line in lines[:cut]))
+
+    eng2 = build_engine(rules=ARTICLE_RULES)
+    eng2.recover_from(trunc)
+    assert list(eng2.queue) == [r.id for r in eng2.flow_records(last) if r.is_completion]
+    assert len(eng2.queue) == 3
+    eng2.run_to_quiescence()
+    eng2.close()
+    assert normalize_flows(eng2.actions()) == normalize_flows(eng.actions())
+
+
+def test_log_without_marks_recovers_the_same(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+    unmarked = _strip_marks(path, tmp_path / "unmarked.log")
+    assert unmarked.stat().st_size < path.stat().st_size
+    recovered = []
+    for log in (path, unmarked):
+        eng2 = build_engine(rules=ARTICLE_RULES)
+        eng2.recover_from(log)
+        eng2.run_to_quiescence()
+        eng2.close()
+        assert eng2.pending_matches() == []
+        recovered.append(normalize_flows(eng2.actions()))
+    assert recovered[0] == recovered[1] == normalize_flows(eng.actions())
 
 
 # ------------------------------------------------------------ the indexes
@@ -565,6 +700,28 @@ def test_rule_registered_late_fires_on_new_completions():
     assert [short(r) for r in eng.flow_records(before)] == ["Web/request"]
     assert [short(r) for r in eng.flow_records(after)] == ["Web/request", "Web/respond", "Web/format"]
     assert eng.trace_flow(after).sync_labels() == {"Pong", "Audit"}
+
+
+def test_rule_added_between_runs_fires_only_on_new_flows(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    before = run_flow(eng, {"method": "ping"})
+    run_flow(eng, register_payload())
+    eng.close()
+
+    eng2 = build_engine()
+    eng2.register_syncs(parse_syncs(
+        'sync Pong when { Web/request: [ method: "ping" ] => [ request: ?r ] } '
+        'then { Web/respond: [ request: ?r ; code: 204 ] }'
+    ))
+    eng2.recover_from(path)
+    eng2.run_to_quiescence()
+    after = run_flow(eng2, {"method": "ping"})
+    eng2.close()
+    # as in a live engine, the restarted one answers only new pings
+    assert [short(r) for r in eng2.flow_records(before)] == ["Web/request"]
+    assert [short(r) for r in eng2.flow_records(after)] == ["Web/request", "Web/respond"]
 
 
 # ------------------------------------------- matching: alpha test, garbage
@@ -715,28 +872,33 @@ def _seeded_uuid4(seed):
     return lambda: uuid.UUID(int=rng.getrandbits(128), version=4)
 
 
+def _submit(eng, users, kind, n):
+    """Submit one request of a kind; users maps user number -> registration flow."""
+    if kind in ("register", "short"):
+        flow = eng.submit_external("Web", "request", register_payload(
+            name=f"user{n}", email=f"user{n}@example.org",
+            password="short" if kind == "short" else "longenough1",
+        ))
+        users.setdefault(n, flow)  # a repeated registration is refused
+    elif kind == "article":
+        answered = responds(eng, users[n]) if n in users else []
+        user = respond_body(answered[0]).get("user", {}) if answered else {}
+        eng.submit_external("Web", "request", {
+            "method": "create_article", "title": f"Post {n}", "description": "d",
+            "body": "b", "token": user.get("token", "garbage"),
+        })
+    elif kind == "comment":
+        eng.submit_external("Web", "request", {
+            "method": "add_comment", "slug": slugify(f"Post {n}"), "author": f"user{n}", "body": "hm",
+        })
+    else:
+        eng.submit_external("Web", "request", {"method": "delete_article", "slug": slugify(f"Post {n}")})
+
+
 def _drive(eng, ops):
-    users = {}  # user number -> its registration flow
+    users = {}
     for kind, n, steps in ops:
-        if kind in ("register", "short"):
-            flow = eng.submit_external("Web", "request", register_payload(
-                name=f"user{n}", email=f"user{n}@example.org",
-                password="short" if kind == "short" else "longenough1",
-            ))
-            users.setdefault(n, flow)  # a repeated registration is refused
-        elif kind == "article":
-            answered = responds(eng, users[n]) if n in users else []
-            user = respond_body(answered[0]).get("user", {}) if answered else {}
-            eng.submit_external("Web", "request", {
-                "method": "create_article", "title": f"Post {n}", "description": "d",
-                "body": "b", "token": user.get("token", "garbage"),
-            })
-        elif kind == "comment":
-            eng.submit_external("Web", "request", {
-                "method": "add_comment", "slug": slugify(f"Post {n}"), "author": f"user{n}", "body": "hm",
-            })
-        else:
-            eng.submit_external("Web", "request", {"method": "delete_article", "slug": slugify(f"Post {n}")})
+        _submit(eng, users, kind, n)
         for _ in range(steps):
             eng.step()
     eng.run_to_quiescence()
@@ -775,3 +937,42 @@ def test_indexed_matching_fires_like_the_reference(ops, fixed):
         assert normalize_actions(indexed.actions()) == normalize_actions(reference.actions())
         assert indexed.pending_matches() == []
         assert _reference_pending(indexed) == []
+
+
+# ------------------------------------------------- crash points across flows
+
+_KINDS = st.sampled_from(["register", "short", "article", "comment", "delete"])
+
+
+@settings(max_examples=10, deadline=None)
+@given(flows=st.lists(st.tuples(_KINDS, st.integers(0, 1)), min_size=1, max_size=5))
+def test_every_batch_boundary_recovers_the_flows_begun(flows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.log"
+        eng = build_engine(rules=ARTICLE_RULES)
+        boundaries = _spy_batches(eng)
+        eng.attach_log(path)
+        users = {}
+        for kind, n in flows:
+            _submit(eng, users, kind, n)
+            eng.run_to_quiescence()
+        eng.close()
+        lines = path.read_text().splitlines()
+        assert boundaries[-1] == len(lines)
+        root_line = {}  # flow -> line number of its root, the flow's first line
+        for pos, rec in enumerate(lines, start=1):
+            flow = json.loads(rec).get("flow")
+            if flow is not None:
+                root_line.setdefault(flow, pos)
+
+        for cut in boundaries:
+            begun = {flow for flow, pos in root_line.items() if pos <= cut}
+            oracle = normalize_flows(r for r in eng.actions() if r.flow in begun)
+            trunc = Path(tmp) / "trunc.log"
+            trunc.write_text("".join(line + "\n" for line in lines[:cut]))
+            for log in (trunc, _strip_marks(trunc, Path(tmp) / "unmarked.log")):
+                eng2 = build_engine(rules=ARTICLE_RULES)
+                eng2.recover_from(log)
+                eng2.run_to_quiescence()
+                eng2.close()
+                assert normalize_flows(eng2.actions()) == oracle, (cut, log.name)

@@ -9,7 +9,7 @@ import urllib.error
 
 import pytest
 
-from support import build_engine, register_payload, respond_body, responds
+from support import LOOP_SYNCS, build_engine, register_payload, respond_body, responds
 from tandem.engine import normalize_flows
 from tandem.gateway import MAX_NESTING, Runtime, decode_payload, make_server, reply_parts
 from tandem.synclang import parse_syncs
@@ -108,6 +108,17 @@ def test_engine_halt_gets_503_at_once():
         assert time.monotonic() - start < 1.0
     assert status == 503
     assert doc["error"].startswith("engine halted: no quiescence")
+
+
+def test_runtime_serves_again_after_a_halt(tmp_path):
+    eng = build_engine(step_limit=25)
+    eng.register_syncs(parse_syncs(LOOP_SYNCS))
+    eng.attach_log(tmp_path / "run.log")
+    with serving(eng) as base:
+        assert post(base, "/api/loop")[0] == 503
+        status, doc = post(base, "/api/register", register_payload())
+    assert status == 200
+    assert doc["user"]["username"] == "alice"
 
 
 @pytest.mark.parametrize("body", [
