@@ -1,13 +1,12 @@
 """Pytest wiring: one verdict line per acceptance criterion after the run,
-and the hypothesis profile named by HYPOTHESIS_PROFILE ("ci" prints the
-reproducer blob of a failing example)."""
-import os
+and a hypothesis profile that prints the reproducer blob of a failing
+example."""
 import re
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("tandem", print_blob=True)
+settings.load_profile("tandem")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_c(\d+)_(\w+)")
 

@@ -96,12 +96,7 @@ def test_quiet_flow_without_respond_is_answered_at_once(served, client_wait):
 
 def test_engine_halt_gets_503_at_once():
     eng = build_engine(rules=(), step_limit=25)
-    eng.register_syncs(parse_syncs(
-        'sync Echo when { Web/format: [] => [] } then { Web/format: [ type: "echo" ] }'
-    ))
-    eng.register_syncs(parse_syncs(
-        'sync Kickoff when { Web/request: [ method: "loop" ] => [] } then { Web/format: [ type: "echo" ] }'
-    ))
+    eng.register_syncs(parse_syncs(LOOP_SYNCS))
     with serving(eng) as base:
         start = time.monotonic()
         status, doc = post(base, "/api/loop")
