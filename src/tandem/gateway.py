@@ -6,6 +6,21 @@ flow, or 504 when the flow goes quiet without one. The runtime serves one
 flow at a time: a request's handler thread submits it and runs the engine
 itself, under the runtime's lock, until the flow goes quiet. There is no
 worker thread.
+
+Connections persist (HTTP/1.1): a client's connection, and the one handler
+thread serving it, carry request after request. A client that sends
+`Connection: close`, or speaks HTTP/1.0 without asking for keep-alive,
+gets one request per connection. A reused connection stays correct by
+three framing rules:
+
+- every reply is sent only after the body named by Content-Length has been
+  read, whatever the answer, so the next request starts at its first byte;
+- a request whose body cannot be framed gets its answer on a connection
+  that then closes, and runs no flow: 400 for a Content-Length that is not
+  one non-negative integer or that the body falls short of, 413 for one
+  above MAX_BODY, 411 for any Transfer-Encoding;
+- each reply leaves in one send, with Nagle's algorithm off, so a reply on
+  a warm connection never waits out the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -24,11 +39,19 @@ class Runtime:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._lock = threading.Lock()
+        self._closed = False
 
     def submit(self, payload: dict):
-        """Run one external request; returns (flow, respond record or None)."""
+        """Run one external request; returns (flow, respond record or None).
+
+        Raises EngineError when the flow runs into a rule loop or the
+        runtime is closed.
+        """
         eng = self.engine
         with self._lock:
+            # a closed log would drop the flow's records without a word
+            if self._closed:
+                raise EngineError("runtime is closed")
             flow = eng.submit_external(eng.bootstrap, "request", payload)
             # the lock admits one request at a time and a halted run takes
             # its flow off the queue, so no other flow is queued: the run
@@ -42,6 +65,7 @@ class Runtime:
     def close(self) -> None:
         # a flow in progress is logged in full before the log closes
         with self._lock:
+            self._closed = True
             self.engine.close()
 
 
@@ -51,6 +75,10 @@ class Runtime:
 # answer on all of them, and keeps the log of one readable by the others.
 MAX_NESTING = 100
 _TOO_DEEP = f"request body nests deeper than {MAX_NESTING} levels"
+
+# The largest request body read. Bodies are a few hundred bytes; a bound
+# keeps a bogus Content-Length from making the handler allocate for it.
+MAX_BODY = 1 << 20
 
 
 def _nests_deeper_than(doc, limit: int) -> bool:
@@ -102,19 +130,56 @@ def canonical_json(doc) -> bytes:
 
 class ApiHandler(BaseHTTPRequestHandler):
     server_version = "tandem/0.1"
+    protocol_version = "HTTP/1.1"
+    # wfile buffers the reply and handle_one_request flushes it in one send
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # keep test output quiet
         pass
 
-    def _send(self, code: int, doc) -> None:
+    def _send(self, code: int, doc, close: bool = False) -> None:
         data = canonical_json(doc)
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(data)
 
+    def _read_body(self):
+        """The request body, or None when its framing was refused: the
+        answer is sent and the connection closes, since where the next
+        request starts is unknown."""
+        if "Transfer-Encoding" in self.headers:
+            self._send(411, {"error": "Transfer-Encoding is not supported; send Content-Length"},
+                       close=True)
+            return None
+        lengths = self.headers.get_all("Content-Length", [])
+        if not lengths:
+            return b""
+        text = lengths[0].strip()
+        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
+            self._send(400, {"error": "Content-Length must be one non-negative integer"},
+                       close=True)
+            return None
+        length = int(text)
+        if length > MAX_BODY:
+            self._send(413, {"error": f"request body is larger than {MAX_BODY} bytes"},
+                       close=True)
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self._send(400, {"error": "request body is shorter than its Content-Length"},
+                       close=True)
+            return None
+        return body
+
     def do_POST(self) -> None:
+        body = self._read_body()
+        if body is None:
+            return
         if not self.path.startswith("/api/"):
             self._send(404, {"error": "unknown path"})
             return
@@ -123,16 +188,15 @@ class ApiHandler(BaseHTTPRequestHandler):
             self._send(404, {"error": "missing method"})
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = json.loads(self.rfile.read(length) or b"{}")
+            doc = json.loads(body or b"{}")
         except RecursionError:
             self._send(400, {"error": _TOO_DEEP})
             return
-        except (ValueError, TypeError):
+        except ValueError:
             self._send(400, {"error": "request body is not valid JSON"})
             return
         try:
-            payload = decode_payload(body)
+            payload = decode_payload(doc)
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return

@@ -1,4 +1,5 @@
 """Command line tool: config parsing, assembly, and the five subcommands."""
+import http.client
 import json
 import os
 import select
@@ -268,6 +269,33 @@ def test_request_with_deeply_nested_payload_is_refused(tmp_path, capsys, depth):
     assert not (tmp_path / "run.log").exists()
 
 
+def start_run(path, cwd):
+    """`tandem run` in its own process; returns the process and its base URL."""
+    src = str(Path(tandem.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, TANDEM_BIND="127.0.0.1:0", PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "tandem.cli", "-c", str(path), "run"],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    ready, _, _ = select.select([server.stdout], [], [], 60)
+    line = server.stdout.readline() if ready else ""
+    if not line.startswith("serving on http://"):
+        stop_run(server)
+        pytest.fail(f"tandem run did not start: {line!r}")
+    return server, line.split()[2]
+
+
+def stop_run(server) -> None:
+    server.send_signal(signal.SIGINT)  # does nothing once the process has exited
+    try:
+        server.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait()
+    server.stdout.close()
+
+
 def test_run_resumes_its_log(tmp_path, capsys):
     path = write_config(tmp_path)
     payload = tmp_path / "register.json"
@@ -275,35 +303,46 @@ def test_run_resumes_its_log(tmp_path, capsys):
     code, _, _ = run_main(capsys, "-c", str(path), "request", "register", str(payload))
     assert code == 0
 
-    src = str(Path(tandem.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, TANDEM_BIND="127.0.0.1:0", PYTHONUNBUFFERED="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    server = subprocess.Popen(
-        [sys.executable, "-m", "tandem.cli", "-c", str(path), "run"],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
+    server, base = start_run(path, tmp_path)
     try:
-        ready, _, _ = select.select([server.stdout], [], [], 60)
-        line = server.stdout.readline() if ready else ""
-        assert line.startswith("serving on http://"), line
-        base = line.split()[2]
         req = urllib.request.Request(
             base + "/api/register",
             data=json.dumps(register_payload(name="alice2")).encode(),
             method="POST",
         )
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=30)
+            urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 422  # the email taken before the restart stays taken
         assert "email already taken" in json.loads(err.value.read())["error"]
     finally:
+        stop_run(server)
+    code, out, _ = run_main(capsys, "-c", str(path), "replay")
+    assert (code, out.strip()) == (0, "equal after recovery")
+
+
+def test_run_exits_on_sigint_with_an_idle_connection_open(tmp_path, capsys):
+    # the connection's handler thread waits for a next request that never
+    # comes; it must not keep the process alive
+    path = write_config(tmp_path)
+    server, base = start_run(path, tmp_path)
+    host, port = base.rsplit("/", 1)[1].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", "/api/register", body=json.dumps(register_payload()).encode(),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert resp.status == 200
+        resp.read()
+        assert conn.sock is not None  # kept open for a next request
         server.send_signal(signal.SIGINT)
         try:
-            server.wait(timeout=30)
+            code = server.wait(timeout=5)
         except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
-        server.stdout.close()
+            pytest.fail("tandem run still running 5 s after SIGINT")
+    finally:
+        conn.close()
+        stop_run(server)
+    assert code == 0
     code, out, _ = run_main(capsys, "-c", str(path), "replay")
     assert (code, out.strip()) == (0, "equal after recovery")
 

@@ -1,6 +1,8 @@
 """HTTP gateway: request mapping, response shaping, answers without a respond."""
 import contextlib
+import http.client
 import json
+import socket
 import sys
 import threading
 import time
@@ -9,9 +11,11 @@ import urllib.error
 
 import pytest
 
-from support import LOOP_SYNCS, build_engine, register_payload, respond_body, responds
-from tandem.engine import normalize_flows
-from tandem.gateway import MAX_NESTING, Runtime, decode_payload, make_server, reply_parts
+from support import (
+    ARTICLE_RULES, LOOP_SYNCS, build_engine, register_payload, respond_body, responds,
+)
+from tandem.engine import EngineError, normalize_flows
+from tandem.gateway import MAX_BODY, MAX_NESTING, Runtime, decode_payload, make_server, reply_parts
 from tandem.synclang import parse_syncs
 
 
@@ -165,6 +169,93 @@ def test_unknown_path_is_404(served):
     _, base = served
     status, _ = post(base, "/healthz", {})
     assert status == 404
+
+
+def test_one_connection_carries_request_after_request():
+    # every answer, 404 and 400 included, leaves the connection at the next
+    # request's first byte, so one socket serves the whole sequence
+    eng = build_engine(rules=ARTICLE_RULES)
+    with serving(eng) as base:
+        conn = http.client.HTTPConnection("127.0.0.1", int(base.rsplit(":", 1)[1]), timeout=10)
+        socks = []
+
+        def call(path, body, token=None):
+            headers = {"Content-Type": "application/json"}
+            if token:
+                headers["Authorization"] = f"Token {token}"
+            conn.request("POST", path, body=body, headers=headers)
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+            socks.append(conn.sock)
+            return resp.status, doc
+
+        try:
+            assert call("/healthz", b'{"x": 1}') == (404, {"error": "unknown path"})
+            assert call("/api/register", b"{oops") == (400, {"error": "request body is not valid JSON"})
+            status, doc = call("/api/register", json.dumps(register_payload()).encode())
+            assert status == 200 and doc["user"]["username"] == "alice"
+            token = doc["user"]["token"]
+            status, dup = call("/api/register", json.dumps(register_payload(name="alice2")).encode())
+            assert status == 422 and "email already taken" in dup["error"]
+            article = {"article": {"title": "Kept Alive", "description": "d", "body": "b"}}
+            status, doc = call("/api/create_article", json.dumps(article).encode(), token)
+            assert status == 200
+            assert doc["article"]["slug"] == "kept-alive"
+            assert doc["article"]["author"]["username"] == "alice"
+        finally:
+            conn.close()
+    assert socks[0] is not None and all(sock is socks[0] for sock in socks)
+    assert len(eng.root_records()) == 3
+
+
+def raw_exchange(base, data: bytes) -> tuple[int, dict, bytes]:
+    """Send raw bytes and end the request stream, then read until the server
+    closes the connection. Returns the status, the JSON body and the header
+    block."""
+    host, port = base.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)  # a server reading past the body sees its end
+        reply = b""
+        while chunk := sock.recv(65536):  # times out if the server keeps it open
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body), head
+
+
+@pytest.mark.parametrize("framing, body, status, names", [
+    pytest.param("Content-Length: -1", b"{}", 400, "Content-Length", id="negative-length"),
+    pytest.param("Content-Length: abc", b"{}", 400, "Content-Length", id="non-integer-length"),
+    pytest.param("Content-Length: 2\r\nContent-Length: 3", b"{} ", 400, "Content-Length",
+                 id="two-lengths"),
+    pytest.param(f"Content-Length: {MAX_BODY + 1}", b"{}", 413, str(MAX_BODY), id="over-max-body"),
+    pytest.param("Content-Length: 99999999999999", b"{}", 413, str(MAX_BODY), id="huge-length"),
+    pytest.param("Content-Length: 40", b"{}", 400, "Content-Length", id="short-body"),
+    pytest.param("Transfer-Encoding: chunked", b"2\r\n{}\r\n0\r\n\r\n", 411,
+                 "Transfer-Encoding", id="chunked"),
+])
+def test_unframeable_body_is_answered_and_runs_no_flow(served, framing, body, status, names):
+    eng, base = served
+    request = (f"POST /api/register HTTP/1.1\r\nHost: tandem\r\n{framing}\r\n\r\n").encode()
+    code, doc, head = raw_exchange(base, request + body)
+    assert code == status
+    assert names in doc["error"]
+    assert b"\r\nConnection: close" in head
+    assert eng.actions() == []
+
+
+def test_submit_after_close_is_refused(tmp_path):
+    log = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(log)
+    runtime = Runtime(eng)
+    runtime.submit(register_payload())
+    runtime.close()
+    closed = log.read_bytes()
+    with pytest.raises(EngineError, match="closed"):
+        runtime.submit(register_payload(name="bob", email="bob@example.org"))
+    assert log.read_bytes() == closed
+    assert len(eng.root_records()) == 1
 
 
 def test_concurrent_submits_each_get_their_own_answer():
