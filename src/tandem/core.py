@@ -2,9 +2,9 @@
 
 Every action occurrence in the system is an ActionRecord. A record without an
 output is an invocation (work someone asked for); the same record with an
-output filled in is a completion. Records and the provenance edges between
-them are written as JSON lines to an append-only log, the one record of
-history, so a run can be replayed after a crash.
+output filled in is a completion. Completions and rule firings, each one
+line, are written as JSON lines to an append-only log, the one record of
+history, so a run and its provenance edges can be replayed after a crash.
 """
 from __future__ import annotations
 
@@ -150,7 +150,7 @@ class Schema:
     """IRIs of no-op targets, all under one base IRI.
 
     A firing whose where clause produced zero frames has no invocation to
-    point at, so its provenance edges target a fresh no-op IRI instead.
+    point at, so its provenance edges target a no-op IRI named after it.
     """
 
     base: str = "app://schema/"
@@ -202,8 +202,6 @@ class ActionRecord:
         return self.output is not None
 
 
-# A no-op target gets a fresh suffix per firing, so the edges of two
-# firings never share a target and each firing's guard replays on its own.
 @dataclass(frozen=True)
 class SyncEdge:
     """Provenance edge: completion -> (sync rule) -> invocation or no-op."""
@@ -266,7 +264,7 @@ def _json_default(value):
 _LOG_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_default)
 
 
-def record_to_json(rec: ActionRecord) -> str:
+def _record_doc(rec: ActionRecord) -> dict:
     doc = {
         "id": rec.id,
         "concept": rec.concept,
@@ -276,7 +274,11 @@ def record_to_json(rec: ActionRecord) -> str:
     }
     if rec.output is not None:
         doc["output"] = rec.output
-    return _LOG_ENCODER.encode(doc)
+    return doc
+
+
+def record_to_json(rec: ActionRecord) -> str:
+    return _LOG_ENCODER.encode(_record_doc(rec))
 
 
 def record_from_json(line: str) -> ActionRecord:
@@ -295,14 +297,19 @@ def record_from_doc(doc: dict) -> ActionRecord:
     )
 
 
-def edge_to_json(edge: SyncEdge) -> str:
-    return _LOG_ENCODER.encode({"from": edge.from_id, "sync": edge.sync, "to": edge.to_id})
+def firing_to_json(sync: str, sources: tuple, invocations: list) -> str:
+    """A firing's line: rule, sorted matched ids, invocations (none for a no-op)."""
+    return _LOG_ENCODER.encode(
+        {"sync": sync, "from": sources, "then": [_record_doc(r) for r in invocations]}
+    )
 
 
-def edge_from_json(line: str) -> SyncEdge:
-    return edge_from_doc(json.loads(line))
-
-
-def edge_from_doc(doc: dict) -> SyncEdge:
-    """Build an edge from an already parsed log line."""
-    return SyncEdge(from_id=doc["from"], sync=doc["sync"], to_id=doc["to"])
+def firing_from_doc(doc: dict) -> tuple:
+    """(rule name, source ids, invocations) of an already parsed firing line."""
+    sync, sources, then = doc["sync"], doc["from"], doc["then"]
+    if not (isinstance(sync, str) and isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+        raise ValueError("a firing line names a rule and a list of completion ids")
+    invocations = [record_from_doc(d) for d in then]
+    if any(r.is_completion for r in invocations):
+        raise ValueError("a firing line holds invocations, not completions")
+    return sync, tuple(sources), invocations

@@ -5,10 +5,12 @@ rules that name its concept and action in a when pattern: the when patterns
 must all be satisfied by completions of the same flow, the where clause is
 evaluated against current concept state, and each surviving frame
 instantiates the then templates as fresh invocations, wired back to their
-causes by provenance edges labeled with the rule name. Every record and edge
-is appended to a JSON-lines log before it takes effect. The log is the only
-record of history, so a crashed run replays into the exact same records and
-edges; the quad store holds concept state and nothing else.
+causes by provenance edges labeled with the rule name. Each append to the
+JSON-lines log is one line, written before it takes effect: a completion, a
+firing {"sync","from","then"} (then is empty for a no-op), or a mark. A
+firing's edges and guard are rebuilt from its line alone, so a recovered
+engine holds what the writer held. The log is the only record of history;
+the quad store holds concept state and nothing else.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
@@ -34,17 +36,20 @@ halt mark, {"halt":"<flow>"}. Resume re-queues only the completions after
 the last quiet mark and leaves halted flows alone, so a restart re-matches
 the unfinished tail instead of the whole history (redo from the last point
 the log shows complete, as in ARIES). A log without marks re-matches every
-completion, which the firing guards make inert.
+completion, which the firing guards make inert. Bytes after the last
+newline are a write a crash cut short: recovery skips them with a
+RuntimeWarning and resume cuts them off before appending.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import threading
-import uuid
+import warnings
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 from .core import (
@@ -52,8 +57,9 @@ from .core import (
     UUID_RE,
     ActionRecord,
     SyncEdge,
-    edge_from_doc,
-    edge_to_json,
+    derive_token,
+    firing_from_doc,
+    firing_to_json,
     new_flow,
     new_id,
     qualify,
@@ -77,6 +83,7 @@ from .synclang import Rec, SyncDef, check_syncs
 DEFAULT_PREFIX = "https://concepts.example/v0/"
 
 QUIET_LINE = '{"quiet":true}'
+_QUIET_BYTES = (QUIET_LINE + "\n").encode()
 
 
 class EngineError(Exception):
@@ -202,9 +209,9 @@ def normalize_flows(records) -> list[tuple]:
     return sorted(tuple(normalize_actions(group)) for group in groups.values())
 
 
-def _read_doc(line: str, pos: int) -> dict:
+def _read_doc(line: bytes, pos: int) -> dict:
     try:
-        doc = json.loads(line)
+        doc = json.loads(line.decode())  # the log is utf-8; loads would sniff it per line
     except ValueError as exc:
         raise RecoveryError(f"unreadable log line: {exc}", pos)
     if not isinstance(doc, dict):
@@ -309,12 +316,11 @@ class Engine:
                 self._log.close()
                 self._log = None
 
-    def _append_batch(self, lines: list[str]) -> None:
-        # one write + flush per batch: the batch is the recovery unit
-        if self._log is None or not lines:
-            return
-        self._log.write("".join(line + "\n" for line in lines))
-        self._log.flush()
+    def _append(self, line: str) -> None:
+        # one write + flush per line: every line is a whole recovery unit
+        if self._log is not None:
+            self._log.write(line + "\n")
+            self._log.flush()
 
     # -------------------------------------------------------------- plumbing
 
@@ -326,11 +332,20 @@ class Engine:
         self.records[rec.id] = rec
         self._by_flow.setdefault(rec.flow, {})[rec.id] = rec
 
-    def _insert_edge(self, edge: SyncEdge) -> None:
-        self.edges.append(edge)
-        source = self.records.get(edge.from_id)
-        if source is not None:
-            self._edges_by_flow.setdefault(source.flow, []).append(edge)
+    def _insert_firing(self, sync: str, sources: tuple, invocations: list) -> None:
+        """Take in one firing, as made or as read back from its log line."""
+        self.fired.add((sync, sources))
+        for inv in invocations:
+            self._insert_record(inv)
+        # a no-op's edges point at a target named after its guard
+        targets = [inv.id for inv in invocations] or [self.schema.noop(derive_token(sync, " ".join(sources)))]
+        for to_id in targets:
+            for cid in sources:
+                edge = SyncEdge(cid, sync, to_id)
+                self.edges.append(edge)
+                source = self.records.get(cid)
+                if source is not None:
+                    self._edges_by_flow.setdefault(source.flow, []).append(edge)
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -371,7 +386,7 @@ class Engine:
             flow = new_flow()
             rec = ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, dict(inputs))
             done = replace(rec, output=self._run_handle(rec))
-            self._append_batch([record_to_json(done)])
+            self._append(record_to_json(done))
             self._insert_record(done)
             self.queue.append(done.id)
             return flow
@@ -445,31 +460,15 @@ class Engine:
             frames = self.store.evaluate(sync.where, seed=frame, namespaces=self.namespaces)
             if has_eachthen(sync.where):
                 frames = group_by_eachthen(frames)
-        self.fired.add(key)
-        invocations = []
-        edges = []
-        if frames:
-            for fr in frames:
-                for iri, action, fields in rule.then:
-                    inv = ActionRecord(new_id(), iri, action, flow, _fill_fields(fields, fr))
-                    invocations.append(inv)
-                    edges.extend(SyncEdge(cid, sync.name, inv.id) for cid in key[1])
-        else:
-            # nothing to do, but the firing must still leave its mark or the
-            # same match would be retried forever
-            marker = self.schema.noop(uuid.uuid4().hex)
-            edges.extend(SyncEdge(cid, sync.name, marker) for cid in key[1])
-        lines = [record_to_json(r) for r in invocations] + [edge_to_json(e) for e in edges]
-        self._append_batch(lines)
-        for r in invocations:
-            self._insert_record(r)
-        for e in edges:
-            self._insert_edge(e)
+        invocations = [ActionRecord(new_id(), iri, action, flow, _fill_fields(fields, fr))
+                       for fr in frames for iri, action, fields in rule.then]
+        self._append(firing_to_json(sync.name, key[1], invocations))
+        self._insert_firing(sync.name, key[1], invocations)
         return invocations
 
     def _dispatch(self, inv: ActionRecord) -> None:
         done = replace(inv, output=self._run_handle(inv))
-        self._append_batch([record_to_json(done)])
+        self._append(record_to_json(done))
         self._insert_record(done)
         self.queue.append(done.id)
 
@@ -502,7 +501,7 @@ class Engine:
                 if not self.step():
                     if steps:
                         # nothing logged so far is left to match
-                        self._append_batch([QUIET_LINE])
+                        self._append(QUIET_LINE)
                     return steps
             steps += 1
             per_flow[flow] = per_flow.get(flow, 0) + 1
@@ -511,7 +510,7 @@ class Engine:
                     # the looping flow is dropped here and on resume, so it
                     # does not halt every later run of this engine or its log
                     self.queue = deque(rid for rid in self.queue if self.records[rid].flow != flow)
-                    self._append_batch([json.dumps({"halt": flow}, separators=(",", ":"))])
+                    self._append(json.dumps({"halt": flow}, separators=(",", ":")))
                 raise EngineError(
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
                 )
@@ -520,7 +519,7 @@ class Engine:
         """Every (sync name, FiringKey) a fresh matching pass would fire now.
 
         A quiescent engine must return []: all satisfiable matches are
-        already evidenced by edges.
+        already evidenced by firings.
         """
         with self._lock:
             out = []
@@ -539,50 +538,55 @@ class Engine:
 
         Concept state is rebuilt by re-running each completed action's
         handle; the logged output stays authoritative. Firing guards come
-        back from the edge lines, so nothing already evidenced fires twice.
+        back from the firing lines, so nothing already fired fires twice.
         Returns the version tag the log was written under (None when empty).
 
-        Resume re-queues the completions logged after the last quiet mark,
-        except those of halted flows, and dispatches every invocation that
-        never completed, except in halted flows.
+        Resume cuts off a torn last line, re-queues the completions logged
+        after the last quiet mark and dispatches every invocation that never
+        completed, except those of halted flows.
 
         resume=False loads the log read-only for inspection: no reopening,
         no pending dispatch, nothing queued.
         """
         log_path = Path(path)
-        text = log_path.read_text(encoding="utf-8") if log_path.exists() else ""
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
         version = None
-        if lines:
-            head = _read_doc(lines[0], 1)
-            if set(head) != {"version"}:
-                raise RecoveryError("missing version header", 1)
-            version = head["version"]
+        torn = b""  # bytes after the last newline: a write the crash cut short
         completions: list[str] = []  # since the last quiet mark
         maybe_pending: list[str] = []
         halted: set = set()
-        with self._lock:
-            for pos, line in enumerate(islice(lines, 1, None), start=2):
-                if line == QUIET_LINE:
+        with self._lock, (open(log_path, "rb") if log_path.exists() else io.BytesIO()) as log:
+            for pos, line in enumerate(log, start=1):
+                if not line.endswith(b"\n"):
+                    torn = line
+                    warnings.warn(f"line {pos}: skipped {len(torn)} bytes after the last newline",
+                                  RuntimeWarning, stacklevel=2)
+                    break
+                if pos == 1:
+                    head = _read_doc(line, 1)
+                    if head.keys() != {"version"}:
+                        raise RecoveryError("missing version header", 1)
+                    version = head["version"]
+                    continue
+                if line == _QUIET_BYTES:
                     completions.clear()
                     continue
                 doc = _read_doc(line, pos)
                 keys = doc.keys()
-                if keys == {"from", "sync", "to"}:
-                    self._insert_edge(edge_from_doc(doc))
-                    continue
                 if keys == {"halt"} and isinstance(doc["halt"], str):
                     halted.add(doc["halt"])
                     continue
                 try:
+                    if keys == {"sync", "from", "then"}:
+                        sync, sources, invocations = firing_from_doc(doc)
+                        self._insert_firing(sync, sources, invocations)
+                        maybe_pending.extend(inv.id for inv in invocations)
+                        continue
                     rec = record_from_doc(doc)
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 self._insert_record(rec)
                 if rec.is_completion:
-                    self._replay_state(rec)
+                    self._run_handle(rec)  # rebuilds state; the logged output stands
                     completions.append(rec.id)
                 else:
                     maybe_pending.append(rec.id)
@@ -590,34 +594,19 @@ class Engine:
             if halted:
                 completions = [rid for rid in completions if self.records[rid].flow not in halted]
                 pending = [rid for rid in pending if self.records[rid].flow not in halted]
-            # one firing = the edges of one rule into one target
-            sources: dict[tuple, set] = {}
-            for e in self.edges:
-                sources.setdefault((e.sync, e.to_id), set()).add(e.from_id)
-            self.fired = {(sync, tuple(sorted(froms))) for (sync, _to), froms in sources.items()}
             if resume:
                 # the completions the log does not show matched get another
                 # pass; the guards make the ones that already fired inert
                 self.queue.extend(completions)
         if not resume:
             return version
+        if torn:
+            os.truncate(log_path, log_path.stat().st_size - len(torn))
         self.attach_log(log_path)
         with self._lock:
             for rid in pending:
                 self._dispatch(self.records[rid])
         return version
-
-    def _replay_state(self, rec: ActionRecord) -> None:
-        name = self._by_iri.get(rec.concept)
-        if name is None:
-            return  # record kept, state graph unknown to this configuration
-        spec, handle = self.concepts[name]
-        if not self._accepts(spec, rec.name, rec.input):
-            return
-        try:
-            handle.invoke(rec.name, rec.input, rec.id)
-        except Exception:
-            pass  # the original run answered this with an error completion
 
     # ------------------------------------------------------------ inspection
 

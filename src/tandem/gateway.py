@@ -21,6 +21,9 @@ three framing rules:
   above MAX_BODY, 411 for any Transfer-Encoding;
 - each reply leaves in one send, with Nagle's algorithm off, so a reply on
   a warm connection never waits out the client's delayed ACK.
+
+A connection that sends nothing for IDLE_TIMEOUT seconds is closed, so an
+idle client does not hold its handler thread for good.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ class Runtime:
 # answer on all of them, and keeps the log of one readable by the others.
 MAX_NESTING = 100
 _TOO_DEEP = f"request body nests deeper than {MAX_NESTING} levels"
+
+# Seconds a connection may wait on the client before it is closed. The
+# handler's socket timeout, so it also bounds a stalled request or body.
+IDLE_TIMEOUT = 60
 
 # The largest request body read. Bodies are a few hundred bytes; a bound
 # keeps a bogus Content-Length from making the handler allocate for it.
@@ -134,6 +141,7 @@ class ApiHandler(BaseHTTPRequestHandler):
     # wfile buffers the reply and handle_one_request flushes it in one send
     wbufsize = -1
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT  # handle_one_request closes a connection that times out
 
     def log_message(self, format, *args):  # keep test output quiet
         pass

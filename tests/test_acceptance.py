@@ -6,6 +6,7 @@ The conftest hook prints a per-criterion verdict table after the run.
 """
 import random
 import time
+import warnings
 
 import pytest
 
@@ -248,40 +249,47 @@ def test_c05_no_ruleset_fires_twice():
 def test_c06_every_crash_point_recovers_to_the_oracle(tmp_path):
     path = tmp_path / "run.log"
     eng = build_engine()
-    boundaries = [1]
-    original = eng._append_batch
-
-    def spy(lines):
-        original(lines)
-        boundaries.append(boundaries[-1] + len(lines))
-
-    eng._append_batch = spy
     eng.attach_log(path)
     run_flow(eng, register_payload())
     eng.close()
     oracle = sorted(normalize_actions(eng.actions()))
-    all_lines = path.read_text().splitlines()
-    assert boundaries[-1] == len(all_lines)
+    data = path.read_bytes()
+    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
 
-    # a registration run commits one batch per invocation or completion
-    cuts = boundaries[1:]
-    assert len(cuts) >= 10
-
-    for cut in cuts:
+    # every append is one line, so a cut at a line end falls between appends
+    # and a cut inside a line is a write the crash tore
+    assert len(ends) >= 10
+    cuts = [(end, None) for end in ends[1:]]
+    for n, (start, end) in enumerate(zip([0] + ends, ends), start=1):
+        torn = (end - start) // 2
+        cuts.append((start + torn, f"line {n}: skipped {torn} bytes after the last newline"))
+    for cut, warning in cuts:
         trunc = tmp_path / f"cut-{cut}.log"
-        trunc.write_text("".join(line + "\n" for line in all_lines[:cut]))
+        trunc.write_bytes(data[:cut])
         eng2 = build_engine()
-        eng2.recover_from(trunc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eng2.recover_from(trunc)
+        assert [str(w.message) for w in caught] == ([warning] if warning else [])
         eng2.run_to_quiescence()
+        eng2.close()
         got = sorted(normalize_actions(eng2.actions()))
-        assert got == oracle, f"diverged when cut after line {cut}"
+        # a torn root line leaves nothing durable: no flow, not a part of one
+        assert got == oracle or (cut < ends[1] and got == []), f"diverged when cut at byte {cut}"
+        # resume cut the torn bytes off, so the log now reads back whole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eng3 = build_engine()
+            eng3.recover_from(trunc, resume=False)
+        assert sorted(normalize_actions(eng3.actions())) == got
 
     # before the request is durable there is nothing to recover
     header_only = tmp_path / "header.log"
-    header_only.write_text(all_lines[0] + "\n")
+    header_only.write_bytes(data[: ends[0]])
     eng3 = build_engine()
     eng3.recover_from(header_only)
     assert eng3.actions() == []
+    eng3.close()
 
 
 # -------------------------------------------------- 7. flow isolation

@@ -10,10 +10,9 @@ from tandem.core import (
     ActionRecord,
     NamingError,
     Ref,
-    SyncEdge,
     canonical_value,
-    edge_from_json,
-    edge_to_json,
+    firing_from_doc,
+    firing_to_json,
     new_flow,
     new_id,
     qualify,
@@ -143,8 +142,12 @@ def test_json_round_trip_property(input_rec, output_rec):
     assert record_from_json(record_to_json(rec)) == rec
 
 
-def test_edge_line_round_trip():
-    edge = SyncEdge(from_id="uuid://a", sync="Registration", to_id="uuid://b")
-    doc = json.loads(edge_to_json(edge))
-    assert doc == {"from": "uuid://a", "sync": "Registration", "to": "uuid://b"}
-    assert edge_from_json(edge_to_json(edge)) == edge
+def test_firing_line_round_trip():
+    # a no-op firing, then one with two invocations
+    for then in ([], [{"who": Ref("uuid://u1")}, {"tags": NIL}]):
+        invocations = [make_record(fields) for fields in then]
+        doc = json.loads(firing_to_json("Registration", ("uuid://a", "uuid://b"), invocations))
+        assert list(doc) == ["sync", "from", "then"]
+        assert doc["from"] == ["uuid://a", "uuid://b"]
+        assert doc["then"] == [json.loads(record_to_json(r)) for r in invocations]
+        assert firing_from_doc(doc) == ("Registration", ("uuid://a", "uuid://b"), invocations)

@@ -404,34 +404,31 @@ def test_recover_finished_run_adds_nothing(tmp_path):
     eng2 = build_engine()
     assert eng2.recover_from(path) == "dev"
     eng2.run_to_quiescence()
+    eng2.close()
     assert normalize_actions(eng2.actions()) == oracle
     assert path.stat().st_size == size  # nothing new was appended
     assert eng2.pending_matches() == []
+    # edges and guards come back from the firing lines as the writer held them
+    assert eng2.edges == eng.edges
+    assert eng2.fired == eng.fired
 
 
 def test_recover_mid_flow_prefix_completes_the_flow(tmp_path):
     path = tmp_path / "run.log"
     eng = build_engine()
-    boundaries = [1]
-    original = eng._append_batch
-
-    def spy(lines):
-        original(lines)
-        boundaries.append(boundaries[-1] + len(lines))
-
-    eng._append_batch = spy
     eng.attach_log(path)
     run_flow(eng, register_payload())
     eng.close()
     oracle = sorted(normalize_actions(eng.actions()))
     all_lines = path.read_text().splitlines()
 
-    cut = boundaries[len(boundaries) // 2]
+    cut = len(all_lines) // 2  # every line ends one append
     trunc = tmp_path / "trunc.log"
     trunc.write_text("".join(line + "\n" for line in all_lines[:cut]))
     eng2 = build_engine()
     eng2.recover_from(trunc)
     eng2.run_to_quiescence()
+    eng2.close()
     assert sorted(normalize_actions(eng2.actions())) == oracle
 
 
@@ -464,6 +461,46 @@ def test_corrupt_line_halts_with_position(tmp_path):
     with pytest.raises(RecoveryError) as err:
         eng2.recover_from(path)
     assert err.value.position == 4
+
+
+def _registration_log(path):
+    eng = build_engine()
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    eng.close()
+    return path.read_text().splitlines()
+
+
+def test_pre_change_edge_line_halts_at_that_line(tmp_path):
+    # logs once held one {"from","sync","to"} line per provenance edge
+    lines = _registration_log(tmp_path / "run.log")
+    firing = json.loads(lines[2])
+    edge = {"from": firing["from"][0], "sync": firing["sync"], "to": firing["then"][0]["id"]}
+    lines.insert(3, json.dumps(edge, separators=(",", ":")))
+    path = tmp_path / "old.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError, match="bad action record") as err:
+        build_engine().recover_from(path)
+    assert err.value.position == 4
+
+
+_COMPLETION = {"id": "uuid://x", "concept": "c://X", "name": "a", "flow": "f", "input": {}, "output": {}}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sync", 7), ("from", "uuid://a"), ("from", [1]), ("then", 3), ("then", [{"id": "uuid://x"}]),
+    ("then", [_COMPLETION]),
+])
+def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
+    lines = _registration_log(tmp_path / "run.log")
+    firing = json.loads(lines[2])
+    firing[field] = value
+    lines[2] = json.dumps(firing)
+    path = tmp_path / "bad.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError) as err:
+        build_engine().recover_from(path)
+    assert err.value.position == 3
 
 
 def test_missing_header_halts_at_line_one(tmp_path):
@@ -518,17 +555,37 @@ def _strip_marks(path, dest):
     return dest
 
 
-def _spy_batches(eng):
-    """Record the line count after each appended batch, header included."""
-    boundaries = [1]
-    original = eng._append_batch
+def test_each_append_is_one_line(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    appends = []
+    append = eng._append
 
-    def spy(lines):
-        original(lines)
-        boundaries.append(boundaries[-1] + len(lines))
+    def spy(line):
+        appends.append(line)
+        append(line)
 
-    eng._append_batch = spy
-    return boundaries
+    eng._append = spy
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+    lines = path.read_text().splitlines()
+    assert lines[1:] == appends
+    kinds = []
+    for line in appends:
+        doc = json.loads(line)
+        if doc.keys() == {"sync", "from", "then"}:
+            assert doc["from"] == sorted(doc["from"])
+            assert all("output" not in inv for inv in doc["then"])
+            kinds.append("noop" if doc["then"] == [] else "firing")
+        elif line == QUIET_LINE:
+            kinds.append("quiet")
+        else:
+            assert "output" in doc
+            kinds.append("completion")
+    assert set(kinds) == {"completion", "firing", "noop", "quiet"}
+    # one firing line per guard, so the line count follows the firings
+    assert kinds.count("firing") + kinds.count("noop") == len(eng.fired)
 
 
 def test_recover_finished_log_queues_nothing(tmp_path):
@@ -547,17 +604,16 @@ def test_recover_finished_log_queues_nothing(tmp_path):
 def test_log_cut_inside_last_flow_queues_only_that_flow(tmp_path):
     path = tmp_path / "run.log"
     eng = build_engine(rules=ARTICLE_RULES)
-    boundaries = _spy_batches(eng)
     eng.attach_log(path)
     _mixed_history(eng)
-    start = boundaries[-1]
+    start = len(path.read_text().splitlines())
     last = run_flow(eng, register_payload(name="zed", email="zed@example.org"))
     eng.close()
     lines = path.read_text().splitlines()
     # up to the last flow's third completion, well before its quiet mark
     completed = [i for i in range(start, len(lines)) if '"output"' in lines[i]]
     cut = completed[2] + 1
-    assert cut in boundaries and lines[cut] != QUIET_LINE
+    assert lines[cut] != QUIET_LINE
     trunc = tmp_path / "trunc.log"
     trunc.write_text("".join(line + "\n" for line in lines[:cut]))
 
@@ -655,19 +711,12 @@ def test_store_holds_concept_state_only(tmp_path):
 def test_resume_completes_pending_invocations_in_place(tmp_path):
     path = tmp_path / "run.log"
     eng = build_engine()
-    boundaries = [1]
-    original = eng._append_batch
-
-    def spy(lines):
-        original(lines)
-        boundaries.append(boundaries[-1] + len(lines))
-
-    eng._append_batch = spy
     eng.attach_log(path)
     flow = run_flow(eng, register_payload())
     eng.close()
-    # keep the root completion and the first firing, whose invocation is pending
-    lines = path.read_text().splitlines()[: boundaries[2]]
+    # keep the header, the root completion and the first firing, whose
+    # invocation is pending
+    lines = path.read_text().splitlines()[:3]
     trunc = tmp_path / "trunc.log"
     trunc.write_text("".join(line + "\n" for line in lines))
 
@@ -948,7 +997,6 @@ def test_every_batch_boundary_recovers_the_flows_begun(flows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.log"
         eng = build_engine(rules=ARTICLE_RULES)
-        boundaries = _spy_batches(eng)
         eng.attach_log(path)
         users = {}
         for kind, n in flows:
@@ -956,14 +1004,13 @@ def test_every_batch_boundary_recovers_the_flows_begun(flows):
             eng.run_to_quiescence()
         eng.close()
         lines = path.read_text().splitlines()
-        assert boundaries[-1] == len(lines)
         root_line = {}  # flow -> line number of its root, the flow's first line
         for pos, rec in enumerate(lines, start=1):
             flow = json.loads(rec).get("flow")
             if flow is not None:
                 root_line.setdefault(flow, pos)
 
-        for cut in boundaries:
+        for cut in range(1, len(lines) + 1):  # every line ends one append
             begun = {flow for flow, pos in root_line.items() if pos <= cut}
             oracle = normalize_flows(r for r in eng.actions() if r.flow in begun)
             trunc = Path(tmp) / "trunc.log"

@@ -15,7 +15,9 @@ from support import (
     ARTICLE_RULES, LOOP_SYNCS, build_engine, register_payload, respond_body, responds,
 )
 from tandem.engine import EngineError, normalize_flows
-from tandem.gateway import MAX_BODY, MAX_NESTING, Runtime, decode_payload, make_server, reply_parts
+from tandem.gateway import (
+    IDLE_TIMEOUT, MAX_BODY, MAX_NESTING, ApiHandler, Runtime, decode_payload, make_server, reply_parts,
+)
 from tandem.synclang import parse_syncs
 
 
@@ -206,6 +208,29 @@ def test_one_connection_carries_request_after_request():
             conn.close()
     assert socks[0] is not None and all(sock is socks[0] for sock in socks)
     assert len(eng.root_records()) == 3
+
+
+def test_idle_connections_are_closed(monkeypatch):
+    # a client that connects and sends nothing holds a handler thread only
+    # until the idle timeout, not for as long as it keeps the socket open
+    assert ApiHandler.timeout == IDLE_TIMEOUT == 60
+    monkeypatch.setattr(ApiHandler, "timeout", 0.2)
+    with serving(build_engine()) as base:
+        before = threading.active_count()
+        host, port = base.rsplit("/", 1)[1].split(":")
+        start = time.monotonic()
+        socks = [socket.create_connection((host, int(port)), timeout=10) for _ in range(5)]
+        try:
+            for sock in socks:
+                assert sock.recv(1) == b""  # the server closed it: EOF
+        finally:
+            for sock in socks:
+                sock.close()
+        assert time.monotonic() - start >= 0.2
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
 
 
 def raw_exchange(base, data: bytes) -> tuple[int, dict, bytes]:
