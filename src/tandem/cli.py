@@ -125,9 +125,7 @@ def render_trace(trace) -> str:
     if not trace.nodes:
         return f"flow {trace.flow}: no records\n"
     index = {node.record.id: i for i, node in enumerate(trace.nodes, start=1)}
-    by_target: dict[str, dict] = {}
-    for e in trace.edges:
-        by_target.setdefault(e.to_id, {}).setdefault(e.sync, []).append(index[e.from_id])
+    cause = {rid: f for f in trace.firings for rid in f.targets}
     lines = [f"flow {trace.flow}"]
     for i, node in enumerate(trace.nodes, start=1):
         rec = node.record
@@ -135,11 +133,12 @@ def render_trace(trace) -> str:
         inp = json.dumps(to_jsonable(rec.input), sort_keys=True)
         out = json.dumps(to_jsonable(rec.output), sort_keys=True) if rec.is_completion else "(pending)"
         lines.append(f"[{i}] {name} {inp} => {out}")
-        for sync, sources in by_target.get(rec.id, {}).items():
-            lines.append(f"      caused by {sync} from {sorted(sources)}")
-    noops = [e for e in trace.edges if e.to_id not in index]
-    for e in noops:
-        lines.append(f"no-op firing {e.sync} from [{index[e.from_id]}]")
+        f = cause.get(rec.id)
+        if f is not None:
+            lines.append(f"      caused by {f.sync} from {sorted(index[s] for s in f.sources)}")
+    for f in trace.firings:
+        if not f.targets:
+            lines.extend(f"no-op firing {f.sync} from [{index[s]}]" for s in f.sources)
     return "".join(line + "\n" for line in lines)
 
 

@@ -2,9 +2,11 @@
 
 Every action occurrence in the system is an ActionRecord. A record without an
 output is an invocation (work someone asked for); the same record with an
-output filled in is a completion. Completions and rule firings, each one
-line, are written as JSON lines to an append-only log, the one record of
-history, so a run and its provenance edges can be replayed after a crash.
+output filled in is a completion. A Firing is one rule firing: the completions
+it joined and the invocations it made, none for a no-op. Completions and
+firings, each one line, are written as JSON lines to an append-only log, the
+one record of history, so a run and its provenance can be replayed after a
+crash.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import re
 import uuid
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class NamingError(ValueError):
@@ -146,31 +149,6 @@ def qualify(prefix: str, concept: str, action: str | None = None, arg: str | Non
 
 
 @dataclass(frozen=True)
-class Schema:
-    """IRIs of no-op targets, all under one base IRI.
-
-    A firing whose where clause produced zero frames has no invocation to
-    point at, so its provenance edges target a no-op IRI named after it.
-    """
-
-    base: str = "app://schema/"
-
-    def __post_init__(self) -> None:
-        require_iri(self.base, "schema base")
-        if not self.base.endswith("/"):
-            object.__setattr__(self, "base", self.base + "/")
-
-    def noop(self, suffix: str) -> str:
-        return self.base + "noop/" + suffix
-
-    def is_noop(self, iri: str) -> bool:
-        return iri.startswith(self.base + "noop/")
-
-
-DEFAULT_SCHEMA = Schema()
-
-
-@dataclass(frozen=True)
 class Quad:
     subject: str
     predicate: str
@@ -202,13 +180,13 @@ class ActionRecord:
         return self.output is not None
 
 
-@dataclass(frozen=True)
-class SyncEdge:
-    """Provenance edge: completion -> (sync rule) -> invocation or no-op."""
+class Firing(NamedTuple):
+    """One rule firing, as its log line holds it: the rule, the sorted ids of
+    the completions it joined and the ids of its invocations (() for a no-op)."""
 
-    from_id: str
     sync: str
-    to_id: str
+    sources: tuple
+    targets: tuple
 
 
 def new_id() -> str:
@@ -281,10 +259,6 @@ def record_to_json(rec: ActionRecord) -> str:
     return _LOG_ENCODER.encode(_record_doc(rec))
 
 
-def record_from_json(line: str) -> ActionRecord:
-    return record_from_doc(json.loads(line))
-
-
 def record_from_doc(doc: dict) -> ActionRecord:
     """Build a record from an already parsed log line."""
     return ActionRecord(
@@ -309,6 +283,8 @@ def firing_from_doc(doc: dict) -> tuple:
     sync, sources, then = doc["sync"], doc["from"], doc["then"]
     if not (isinstance(sync, str) and isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
         raise ValueError("a firing line names a rule and a list of completion ids")
+    if not sources or sources != sorted(set(sources)):
+        raise ValueError("a firing line's completion ids are sorted, distinct and at least one")
     invocations = [record_from_doc(d) for d in then]
     if any(r.is_completion for r in invocations):
         raise ValueError("a firing line holds invocations, not completions")

@@ -4,17 +4,19 @@ Completions land on a queue. Each step pops one and matches it against the
 rules that name its concept and action in a when pattern: the when patterns
 must all be satisfied by completions of the same flow, the where clause is
 evaluated against current concept state, and each surviving frame
-instantiates the then templates as fresh invocations, wired back to their
-causes by provenance edges labeled with the rule name. Each append to the
+instantiates the then templates as fresh invocations. Each append to the
 JSON-lines log is one line, written before it takes effect: a completion, a
-firing {"sync","from","then"} (then is empty for a no-op), or a mark. A
-firing's edges and guard are rebuilt from its line alone, so a recovered
-engine holds what the writer held. The log is the only record of history;
-the quad store holds concept state and nothing else.
+firing {"sync","from","then"} (then is empty for a no-op), or a mark. In
+memory a firing is held as its line holds it, a Firing of the rule, the
+completions it joined and the invocations it made: that is the provenance,
+and its (rule, completions) pair is the guard that keeps it from firing
+twice. A recovered engine rebuilds both from the firing lines alone, so it
+holds what the writer held. The log is the only record of history; the quad
+store holds concept state and nothing else.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
-patterns name. Records and edges are indexed by flow, so matching a
+patterns name. Records and firings are indexed by flow, so matching a
 completion and tracing a flow cost as much as that flow, not the history.
 
 Matching a completion has two stages, as in the alpha and beta networks of
@@ -53,11 +55,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
-    DEFAULT_SCHEMA,
     UUID_RE,
     ActionRecord,
-    SyncEdge,
-    derive_token,
+    Firing,
     firing_from_doc,
     firing_to_json,
     new_flow,
@@ -106,15 +106,15 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Everything one flow did: its records and the edges among them."""
+    """Everything one flow did: its records and the firings among them."""
 
     flow: str
     root: ActionRecord | None
     nodes: tuple
-    edges: tuple
+    firings: tuple
 
     def sync_labels(self) -> set:
-        return {e.sync for e in self.edges}
+        return {f.sync for f in self.firings}
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ class Engine:
     ) -> None:
         self.prefix = prefix
         self.version = version
-        self.schema = DEFAULT_SCHEMA
         self.step_limit = step_limit
         self.store = QuadStore()
         self.concepts: dict[str, tuple[ConceptSpec, object]] = {}
@@ -238,14 +237,13 @@ class Engine:
         self.bootstrap: str | None = None
         self.syncs: list[SyncDef] = []
         self.records: dict[str, ActionRecord] = {}  # insertion order = log order
-        self.edges: list[SyncEdge] = []
-        # per flow: its records (in self.records order) and the edges leaving them
+        # per flow: its records (in self.records order) and its firings
         self._by_flow: dict[str, dict[str, ActionRecord]] = {}
-        self._edges_by_flow: dict[str, list[SyncEdge]] = {}
+        self._firings_by_flow: dict[str, list[Firing]] = {}
         # (concept iri, action) -> (rule, its (inputs, outputs) patterns on it),
         # in registration order
         self._triggers: dict[tuple, list[tuple]] = {}
-        self.fired: set = set()
+        self.fired: dict[tuple, Firing] = {}  # guard (rule, completion ids) -> firing
         self.queue: deque = deque()
         self._by_iri: dict[str, str] = {}
         self._log = None
@@ -325,27 +323,47 @@ class Engine:
     # -------------------------------------------------------------- plumbing
 
     def _insert_record(self, rec: ActionRecord) -> None:
-        old = self.records.get(rec.id)
-        if old is not None and old.flow != rec.flow:
-            del self._by_flow[old.flow][rec.id]
         # a completion replacing its invocation keeps the invocation's slot
         self.records[rec.id] = rec
         self._by_flow.setdefault(rec.flow, {})[rec.id] = rec
 
     def _insert_firing(self, sync: str, sources: tuple, invocations: list) -> None:
         """Take in one firing, as made or as read back from its log line."""
-        self.fired.add((sync, sources))
+        firing = Firing(sync, sources, tuple([inv.id for inv in invocations]))
+        self.fired[sync, sources] = firing
         for inv in invocations:
             self._insert_record(inv)
-        # a no-op's edges point at a target named after its guard
-        targets = [inv.id for inv in invocations] or [self.schema.noop(derive_token(sync, " ".join(sources)))]
-        for to_id in targets:
-            for cid in sources:
-                edge = SyncEdge(cid, sync, to_id)
-                self.edges.append(edge)
-                source = self.records.get(cid)
-                if source is not None:
-                    self._edges_by_flow.setdefault(source.flow, []).append(edge)
+        # its completions and invocations are all of one flow
+        self._firings_by_flow.setdefault(self.records[sources[0]].flow, []).append(firing)
+
+    def _check_firing(self, sync: str, sources: tuple, invocations: list) -> None:
+        """Refuse a logged firing unless the completions it joined were
+        logged before it, in the flow of its new invocations, and its guard
+        has not fired yet."""
+        flows = {inv.flow for inv in invocations}
+        for cid in sources:
+            rec = self.records.get(cid)
+            if rec is None or rec.output is None:
+                raise ValueError("a firing line names a completion not logged before it")
+            flows.add(rec.flow)
+        if len(flows) != 1:
+            raise ValueError("a firing line spans more than one flow")
+        ids = {inv.id for inv in invocations}
+        # keys().isdisjoint walks ids; set.isdisjoint(dict) would walk the whole history
+        repeats = (sync, sources) in self.fired or not self.records.keys().isdisjoint(ids)
+        if repeats or len(ids) < len(invocations):
+            raise ValueError("a firing line repeats a logged firing or record")
+
+    def _check_completion(self, rec: ActionRecord) -> None:
+        """Refuse a logged record unless it is a completion that starts a
+        flow or completes a logged invocation of its flow."""
+        old = self.records.get(rec.id)
+        if old is None:
+            fits = rec.flow not in self._by_flow
+        else:
+            fits = old.flow == rec.flow and old.output is None
+        if not (rec.output is not None and fits):
+            raise ValueError("a record line neither starts a flow nor completes an invocation of its flow")
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -539,6 +557,7 @@ class Engine:
         Concept state is rebuilt by re-running each completed action's
         handle; the logged output stays authoritative. Firing guards come
         back from the firing lines, so nothing already fired fires twice.
+        A line the writer could not have made fails with RecoveryError.
         Returns the version tag the log was written under (None when empty).
 
         Resume cuts off a torn last line, re-queues the completions logged
@@ -578,18 +597,17 @@ class Engine:
                 try:
                     if keys == {"sync", "from", "then"}:
                         sync, sources, invocations = firing_from_doc(doc)
+                        self._check_firing(sync, sources, invocations)
                         self._insert_firing(sync, sources, invocations)
                         maybe_pending.extend(inv.id for inv in invocations)
                         continue
                     rec = record_from_doc(doc)
+                    self._check_completion(rec)
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 self._insert_record(rec)
-                if rec.is_completion:
-                    self._run_handle(rec)  # rebuilds state; the logged output stands
-                    completions.append(rec.id)
-                else:
-                    maybe_pending.append(rec.id)
+                self._run_handle(rec)  # rebuilds state; the logged output stands
+                completions.append(rec.id)
             pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
             if halted:
                 completions = [rid for rid in completions if self.records[rid].flow not in halted]
@@ -619,23 +637,16 @@ class Engine:
             return list(self._by_flow.get(flow, {}).values())
 
     def root_records(self) -> list[ActionRecord]:
-        """Completions nothing caused: the external submissions, in log order."""
+        """Completions nothing caused: the external submissions, each the
+        first record of its flow, in log order."""
         with self._lock:
-            targets = {e.to_id for e in self.edges}
-            return [r for r in self.records.values() if r.id not in targets]
+            return [next(iter(recs.values())) for recs in self._by_flow.values()]
 
     def trace_flow(self, flow: str) -> FlowTrace:
-        """The provenance DAG of one flow: records, edges, and rule labels."""
+        """The provenance DAG of one flow: records, firings, and rule labels."""
         with self._lock:
             recs = list(self._by_flow.get(flow, {}).values())
-            ids = {r.id for r in recs}
-            edges = tuple(self._edges_by_flow.get(flow, ()))
-            incoming: dict[str, list] = {}
-            for e in edges:
-                if e.to_id in ids:
-                    labels = incoming.setdefault(e.to_id, [])
-                    if e.sync not in labels:
-                        labels.append(e.sync)
-            nodes = tuple(TraceNode(r, tuple(incoming.get(r.id, ()))) for r in recs)
-            roots = [r for r in recs if not incoming.get(r.id)]
-            return FlowTrace(flow, roots[0] if roots else None, nodes, edges)
+            firings = tuple(self._firings_by_flow.get(flow, ()))
+            cause = {rid: (f.sync,) for f in firings for rid in f.targets}
+            nodes = tuple(TraceNode(r, cause.get(r.id, ())) for r in recs)
+            return FlowTrace(flow, recs[0] if recs else None, nodes, firings)

@@ -168,8 +168,8 @@ def test_c04_commentless_delete_records_a_noop():
 
     # the empty cascade still leaves a provenance mark, so it never refires
     trace = eng.trace_flow(flow)
-    noops = [e for e in trace.edges if eng.schema.is_noop(e.to_id)]
-    assert any(e.sync == "CascadeDeleteComments" for e in noops)
+    noops = [f for f in trace.firings if not f.targets]
+    assert any(f.sync == "CascadeDeleteComments" for f in noops)
     assert eng.pending_matches() == []
 
 
@@ -309,10 +309,10 @@ def test_c07_interleaved_flows_never_mix():
         eng.run_to_quiescence()
 
         by_id = {r.id: r for r in eng.actions()}
-        for edge in eng.edges:
-            target = by_id.get(edge.to_id)
-            if target is not None:
-                assert by_id[edge.from_id].flow == target.flow, f"seed {seed}"
+        for firing in eng.fired.values():
+            for target_id in firing.targets:
+                for source_id in firing.sources:
+                    assert by_id[source_id].flow == by_id[target_id].flow, f"seed {seed}"
 
         ua = respond_body(responds(eng, fa)[0])["user"]
         ub = respond_body(responds(eng, fb)[0])["user"]

@@ -2,6 +2,7 @@
 import http.client
 import json
 import os
+import re
 import select
 import signal
 import subprocess
@@ -358,3 +359,21 @@ def test_render_trace_orders_and_labels():
     assert lines[1].startswith("[1] Web/request")
     assert any("caused by Registration from [1]" in line for line in lines)
     assert any("caused by RegistrationResponse" in line for line in lines)
+
+
+def test_render_trace_prints_causes_and_the_noop():
+    from support import ARTICLE_RULES, build_engine, run_flow, seed_article
+
+    eng = build_engine(rules=ARTICLE_RULES)
+    seed_article(eng)
+    flow = run_flow(eng, {"method": "delete_article", "slug": "intro-to-sync"})
+    lines = render_trace(eng.trace_flow(flow)).splitlines()
+    records = [i for i, line in enumerate(lines) if line.startswith("[")]
+    # every record but the request is an invocation, with exactly one cause under it
+    for n, i in enumerate(records, start=1):
+        end = records[n] if n < len(records) else len(lines)
+        causes = [line for line in lines[i + 1:end] if "caused by" in line]
+        assert len(causes) == (n > 1), lines[i:end]
+        assert all(re.fullmatch(r"      caused by \w+ from \[\d+(, \d+)*\]", c) for c in causes)
+    (k,) = [n for n, i in enumerate(records, start=1) if lines[i].startswith(f"[{n}] Article/delete ")]
+    assert lines[-1] == f"no-op firing CascadeDeleteComments from [{k}]"

@@ -78,7 +78,7 @@ def test_default_profile_caused_by_register_completion_only():
     eng = build_engine()
     flow = run_flow(eng, register_payload())
     register = [r for r in eng.flow_records(flow) if short(r) == "User/register"]
-    sources = {e.from_id for e in eng.edges if e.sync == "DefaultProfile"}
+    sources = {cid for f in eng.fired.values() if f.sync == "DefaultProfile" for cid in f.sources}
     assert sources == {register[0].id}
 
 
@@ -136,14 +136,14 @@ def test_unmatched_method_leaves_root_only():
     flow = run_flow(eng, {"method": "ping"})
     trace = eng.trace_flow(flow)
     assert len(trace.nodes) == 1
-    assert trace.edges == ()
+    assert trace.firings == ()
     assert trace.root.id == trace.nodes[0].record.id
 
 
 def test_trace_of_unknown_flow_is_empty():
     eng = build_engine()
     trace = eng.trace_flow("no-such-flow")
-    assert trace.root is None and trace.nodes == () and trace.edges == ()
+    assert trace.root is None and trace.nodes == () and trace.firings == ()
 
 
 # ------------------------------------------------------- degraded dispatch
@@ -229,6 +229,7 @@ def test_halted_flow_leaves_the_queue_and_is_logged(tmp_path):
     halt = json.dumps({"halt": flow}, separators=(",", ":"))
     assert (tmp_path / "run.log").read_text().splitlines()[-1] == halt
     later = run_flow(eng, register_payload(name="bob", email="bob@example.org"))
+    eng.close()
     assert len(responds(eng, later)) == 1
 
 
@@ -282,10 +283,7 @@ def test_cascade_on_commentless_article_records_noop():
     f_del = run_flow(eng, {"method": "delete_article", "slug": "intro-to-sync"})
     deletes = [r for r in eng.flow_records(f_del) if short(r) == "Comment/delete"]
     assert deletes == []
-    noops = [
-        e for e in eng.edges
-        if e.sync == "CascadeDeleteComments" and eng.schema.is_noop(e.to_id)
-    ]
+    noops = [f for f in eng.fired.values() if f.sync == "CascadeDeleteComments" and not f.targets]
     assert len(noops) == 1
     assert eng.pending_matches() == []
 
@@ -325,7 +323,7 @@ def test_quiescent_engine_has_no_pending_matches():
 def test_every_invocation_has_provenance():
     eng = build_engine()
     flow = run_flow(eng, register_payload())
-    targets = {e.to_id for e in eng.edges}
+    targets = {rid for f in eng.fired.values() for rid in f.targets}
     for rec in eng.flow_records(flow):
         if short(rec) == "Web/request":
             assert rec.id not in targets
@@ -337,9 +335,10 @@ def test_edges_never_cross_flows():
     eng = build_engine()
     run_flow(eng, register_payload())
     run_flow(eng, register_payload(name="bob", email="bob@example.org"))
-    for e in eng.edges:
-        if e.to_id in eng.records:
-            assert eng.records[e.from_id].flow == eng.records[e.to_id].flow
+    for f in eng.fired.values():
+        for to_id in f.targets:
+            for from_id in f.sources:
+                assert eng.records[from_id].flow == eng.records[to_id].flow
 
 
 def test_interleaved_flows_stay_isolated():
@@ -390,6 +389,7 @@ def test_recover_empty_log_yields_empty_engine(tmp_path):
     assert eng.recover_from(path) is None
     assert eng.actions() == []
     assert eng.run_to_quiescence() == 0
+    eng.close()
 
 
 def test_recover_finished_run_adds_nothing(tmp_path):
@@ -408,8 +408,8 @@ def test_recover_finished_run_adds_nothing(tmp_path):
     assert normalize_actions(eng2.actions()) == oracle
     assert path.stat().st_size == size  # nothing new was appended
     assert eng2.pending_matches() == []
-    # edges and guards come back from the firing lines as the writer held them
-    assert eng2.edges == eng.edges
+    # firings and guards come back from the firing lines as the writer held them
+    assert list(eng2.fired.values()) == list(eng.fired.values())
     assert eng2.fired == eng.fired
 
 
@@ -444,6 +444,7 @@ def test_recovery_rebuilds_concept_state(tmp_path):
     eng2.run_to_quiescence()
     # duplicate email is only detectable if User state survived the reboot
     flow = run_flow(eng2, register_payload(name="alice2"))
+    eng2.close()
     (resp,) = responds(eng2, flow)
     assert resp.input["code"] == 422
 
@@ -485,22 +486,66 @@ def test_pre_change_edge_line_halts_at_that_line(tmp_path):
 
 
 _COMPLETION = {"id": "uuid://x", "concept": "c://X", "name": "a", "flow": "f", "input": {}, "output": {}}
+_UNLOGGED = "uuid://ffffffff-ffff-4fff-bfff-ffffffffffff"  # sorts after every other id
+
+
+def _first_join(lines):
+    """Index of the first firing line that joins two completions."""
+    return next(i for i, line in enumerate(lines) if len(json.loads(line).get("from", ())) > 1)
 
 
 @pytest.mark.parametrize("field, value", [
     ("sync", 7), ("from", "uuid://a"), ("from", [1]), ("then", 3), ("then", [{"id": "uuid://x"}]),
     ("then", [_COMPLETION]),
+    pytest.param("from", [], id="from-empty"),
+    pytest.param("from", lambda f: f["from"][::-1], id="from-unsorted"),
+    pytest.param("from", lambda f: f["from"][:1] * 2, id="from-repeated"),
+    pytest.param("from", lambda f: f["from"][:1] + [_UNLOGGED], id="from-unlogged"),
+    pytest.param("then", lambda f: [dict(f["then"][0], flow="another-flow")], id="then-other-flow"),
+    pytest.param("then", lambda f: [dict(f["then"][0], id=f["from"][0])], id="then-logged-id"),
 ])
 def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
     lines = _registration_log(tmp_path / "run.log")
-    firing = json.loads(lines[2])
-    firing[field] = value
-    lines[2] = json.dumps(firing)
+    i = _first_join(lines)
+    firing = json.loads(lines[i])
+    firing[field] = value(firing) if callable(value) else value
+    lines[i] = json.dumps(firing)
     path = tmp_path / "bad.log"
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(RecoveryError) as err:
         build_engine().recover_from(path)
-    assert err.value.position == 3
+    assert err.value.position == i + 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: [dict(d, flow="another-flow")],
+    lambda d: [d, d],
+    lambda d: [dict(d, id=_UNLOGGED)],
+    lambda d: [{k: v for k, v in d.items() if k != "output"}],
+], ids=["other-flow", "repeated", "no-invocation", "no-output"])
+def test_malformed_record_line_halts_at_it(tmp_path, edit):
+    # a record line starts a flow or completes one logged invocation of its flow
+    lines = _registration_log(tmp_path / "run.log")
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("name") == "set")
+    new = [json.dumps(d) for d in edit(json.loads(lines[i]))]
+    lines[i:i + 1] = new
+    path = tmp_path / "bad.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError) as err:
+        build_engine().recover_from(path)
+    assert err.value.position == i + len(new)
+
+
+def test_repeated_firing_line_halts_at_the_repeat(tmp_path):
+    # a second line with a logged guard would turn its completions back into invocations
+    lines = _registration_log(tmp_path / "run.log")
+    i = _first_join(lines)
+    lines.insert(i + 2, lines[i])
+    path = tmp_path / "bad.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError) as err:
+        build_engine().recover_from(path)
+    assert err.value.position == i + 3
 
 
 def test_missing_header_halts_at_line_one(tmp_path):
@@ -520,6 +565,7 @@ def test_recover_reports_foreign_version(tmp_path):
     eng.close()
     eng2 = build_engine(version="v2")
     assert eng2.recover_from(path) == "v1"
+    eng2.close()
 
 
 def test_step_limit_bounds_each_flow_not_the_backlog(tmp_path):
@@ -671,7 +717,8 @@ def _assert_index_matches_scan(eng):
         scanned = [r for r in eng.actions() if r.flow == flow]
         assert eng.flow_records(flow) == scanned
         ids = {r.id for r in scanned}
-        assert eng.trace_flow(flow).edges == tuple(e for e in eng.edges if e.from_id in ids)
+        scanned_firings = tuple(f for f in eng.fired.values() if ids.issuperset(f.sources))
+        assert eng.trace_flow(flow).firings == scanned_firings
     return flows
 
 

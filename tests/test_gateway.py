@@ -164,7 +164,8 @@ def test_bad_json_is_rejected(served):
     req = urllib.request.Request(base + "/api/register", data=b"{oops", method="POST")
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=10)
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def test_unknown_path_is_404(served):
