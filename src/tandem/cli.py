@@ -8,7 +8,9 @@ import argparse
 import gc
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,13 +124,12 @@ def assemble(cfg: AppConfig) -> Engine:
 
 def render_trace(trace) -> str:
     """Human-readable provenance DAG: numbered records, labeled causes."""
-    if not trace.nodes:
+    if not trace.records:
         return f"flow {trace.flow}: no records\n"
-    index = {node.record.id: i for i, node in enumerate(trace.nodes, start=1)}
+    index = {rec.id: i for i, rec in enumerate(trace.records, start=1)}
     cause = {rid: f for f in trace.firings for rid in f.targets}
     lines = [f"flow {trace.flow}"]
-    for i, node in enumerate(trace.nodes, start=1):
-        rec = node.record
+    for i, rec in enumerate(trace.records, start=1):
         name = rec.concept.rsplit("/", 1)[1] + "/" + rec.name
         inp = json.dumps(to_jsonable(rec.input), sort_keys=True)
         out = json.dumps(to_jsonable(rec.output), sort_keys=True) if rec.is_completion else "(pending)"
@@ -225,9 +226,14 @@ def cmd_replay(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else cfg.log
     recovered = assemble(cfg)
-    log_version = recovered.recover_from(log_path)
-    recovered.run_to_quiescence()
-    recovered.close()
+    # resume a copy: replay checks the log and leaves it as it found it
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "replay.log"
+        if log_path.exists():
+            shutil.copyfile(log_path, copy)
+        log_version = recovered.recover_from(copy)
+        recovered.run_to_quiescence()
+        recovered.close()
 
     oracle = assemble(cfg)
     for root in recovered.root_records():
@@ -251,7 +257,7 @@ def cmd_trace(args) -> int:
     eng.recover_from(log_path, resume=False)
     trace = eng.trace_flow(args.flow)
     print(render_trace(trace), end="")
-    return 0 if trace.nodes else 1
+    return 0 if trace.records else 1
 
 
 def main(argv=None) -> None:

@@ -3,10 +3,10 @@
 Every action occurrence in the system is an ActionRecord. A record without an
 output is an invocation (work someone asked for); the same record with an
 output filled in is a completion. A Firing is one rule firing: the completions
-it joined and the invocations it made, none for a no-op. Completions and
-firings, each one line, are written as JSON lines to an append-only log, the
-one record of history, so a run and its provenance can be replayed after a
-crash.
+it joined and the invocations it made, none for a no-op. Both are held as
+their JSON log lines hold them, in an append-only log, the one record of
+history, so a run and its provenance can be replayed after a crash. A record
+read back is checked once, by record_from_doc.
 """
 from __future__ import annotations
 
@@ -156,9 +156,10 @@ class Quad:
     graph: str
 
 
-@dataclass(frozen=True)
-class ActionRecord:
-    """One action occurrence. Immutable; completion is a copy with output set."""
+class ActionRecord(NamedTuple):
+    """One action occurrence, as its log line holds it. Immutable; its
+    completion is rec._replace(output=...). Nothing is checked here: the
+    engine mints its own records, and record_from_doc checks the rest."""
 
     id: str
     concept: str
@@ -166,14 +167,6 @@ class ActionRecord:
     flow: str
     input: dict
     output: dict | None = None
-
-    def __post_init__(self) -> None:
-        require_iri(self.id, "record id")
-        require_iri(self.concept, "concept iri")
-        if not self.name:
-            raise NamingError("action name must be non-empty")
-        if not self.flow:
-            raise NamingError("flow token must be non-empty")
 
     @property
     def is_completion(self) -> bool:
@@ -260,15 +253,21 @@ def record_to_json(rec: ActionRecord) -> str:
 
 
 def record_from_doc(doc: dict) -> ActionRecord:
-    """Build a record from an already parsed log line."""
-    return ActionRecord(
-        id=doc["id"],
-        concept=doc["concept"],
+    """The record of an already parsed log line, the one way a record comes
+    in from outside: refused unless its fields have the types it is minted with."""
+    rec = ActionRecord(
+        id=require_iri(doc["id"], "record id"),
+        concept=require_iri(doc["concept"], "concept iri"),
         name=doc["name"],
         flow=doc["flow"],
         input=from_jsonable(doc["input"]),
         output=from_jsonable(doc["output"]) if "output" in doc else None,
     )
+    if not (isinstance(rec.name, str) and rec.name and isinstance(rec.flow, str) and rec.flow):
+        raise NamingError("action name and flow token must be non-empty strings")
+    if not (isinstance(rec.input, dict) and (rec.output is None or isinstance(rec.output, dict))):
+        raise ValueError("a record's input and output are records")
+    return rec
 
 
 def firing_to_json(sync: str, sources: tuple, invocations: list) -> str:

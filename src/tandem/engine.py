@@ -1,18 +1,18 @@
 """The synchronization engine.
 
-Completions land on a queue. Each step pops one and matches it against the
-rules that name its concept and action in a when pattern: the when patterns
-must all be satisfied by completions of the same flow, the where clause is
-evaluated against current concept state, and each surviving frame
-instantiates the then templates as fresh invocations. Each append to the
-JSON-lines log is one line, written before it takes effect: a completion, a
-firing {"sync","from","then"} (then is empty for a no-op), or a mark. In
-memory a firing is held as its line holds it, a Firing of the rule, the
-completions it joined and the invocations it made: that is the provenance,
-and its (rule, completions) pair is the guard that keeps it from firing
-twice. A recovered engine rebuilds both from the firing lines alone, so it
-holds what the writer held. The log is the only record of history; the quad
-store holds concept state and nothing else.
+An external request and each invocation a rule makes complete on one path,
+_dispatch, and the completion lands on a queue. Each step pops one and
+matches it against the rules that name its concept and action in a when
+pattern: the when patterns must all be satisfied by completions of the same
+flow, the where clause is evaluated against current concept state, and each
+surviving frame instantiates the then templates as fresh invocations. Each
+append to the JSON-lines log is one line, written before it takes effect: a
+completion, a firing {"sync","from","then"} (then is empty for a no-op), or a
+mark. Records and firings are held as their lines hold them; a firing is the
+provenance, and its (rule, completions) pair the guard that keeps it from
+firing twice. The engine trusts what it mints; recovery checks each line
+once, as it comes in, so a recovered engine holds what the writer held. The
+log is the only record of history; the quad store holds concept state only.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
@@ -51,7 +51,7 @@ import os
 import threading
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -73,7 +73,6 @@ from .store import (
     GraphView,
     Namespace,
     QuadStore,
-    frame_key,
     group_by_eachthen,
     has_eachthen,
     is_var,
@@ -99,19 +98,17 @@ class RecoveryError(Exception):
 
 
 @dataclass(frozen=True)
-class TraceNode:
-    record: ActionRecord
-    syncs: tuple  # names of the rules that caused this record; () for roots
-
-
-@dataclass(frozen=True)
 class FlowTrace:
-    """Everything one flow did: its records and the firings among them."""
+    """Everything one flow did: its records, in log order, and the firings
+    among them. A firing's targets are the records it caused."""
 
     flow: str
-    root: ActionRecord | None
-    nodes: tuple
+    records: tuple
     firings: tuple
+
+    @property
+    def root(self) -> ActionRecord | None:
+        return self.records[0] if self.records else None
 
     def sync_labels(self) -> set:
         return {f.sync for f in self.firings}
@@ -184,14 +181,10 @@ def normalize_actions(records) -> list[str]:
 
     out = []
     for rec in records:
-        doc = {
-            "concept": rec.concept,
-            "name": rec.name,
-            "flow": rec.flow,
-            "input": to_jsonable(rec.input),
-        }
-        if rec.output is not None:
-            doc["output"] = to_jsonable(rec.output)
+        doc = to_jsonable(rec._asdict())
+        del doc["id"]
+        if rec.output is None:
+            del doc["output"]
         out.append(UUID_RE.sub(rename, json.dumps(doc, sort_keys=True)))
     return out
 
@@ -356,14 +349,16 @@ class Engine:
 
     def _check_completion(self, rec: ActionRecord) -> None:
         """Refuse a logged record unless it is a completion that starts a
-        flow or completes a logged invocation of its flow."""
+        flow or completes a logged invocation and repeats it: the same
+        concept, action and flow, and an input equal under values_equal."""
         old = self.records.get(rec.id)
         if old is None:
             fits = rec.flow not in self._by_flow
         else:
-            fits = old.flow == rec.flow and old.output is None
+            same = (old.concept, old.name, old.flow) == (rec.concept, rec.name, rec.flow)
+            fits = old.output is None and same and values_equal(old.input, rec.input)
         if not (rec.output is not None and fits):
-            raise ValueError("a record line neither starts a flow nor completes an invocation of its flow")
+            raise ValueError("a record line neither starts a flow nor completes a logged invocation unchanged")
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -402,11 +397,7 @@ class Engine:
                     f"external submissions enter through the bootstrap concept, not {concept}"
                 )
             flow = new_flow()
-            rec = ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, dict(inputs))
-            done = replace(rec, output=self._run_handle(rec))
-            self._append(record_to_json(done))
-            self._insert_record(done)
-            self.queue.append(done.id)
+            self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, dict(inputs)))
             return flow
 
     def _visits(self, trigger: ActionRecord):
@@ -426,7 +417,8 @@ class Engine:
 
     def _match_when(self, rule: _Rule, trigger: ActionRecord) -> list:
         """Frames where the trigger fills one when pattern and same-flow
-        completions fill the rest; already-fired keys are excluded."""
+        completions fill the rest; already-fired keys are excluded. A key
+        can come twice, from two frames; _fire's guard fires it once."""
         flow_recs = self._by_flow[trigger.flow].values()
         pats = rule.when
         # each pattern's candidates: the flow's completions on its (concept, action)
@@ -436,23 +428,16 @@ class Engine:
         ]
         name = rule.sync.name
         results = []
-        seen = set()
         # depth-first join on an explicit stack: children are pushed in
         # reverse so frames come off in the order a recursive join visits them
         stack = [(0, {}, (), False)]
         while stack:
             i, frame, used, hit = stack.pop()
             if i == len(pats):
-                if not hit:
-                    continue
-                key = (name, tuple(sorted(used)))
-                if key in self.fired:
-                    continue
-                mark = (key, frame_key(frame))
-                if mark in seen:
-                    continue
-                seen.add(mark)
-                results.append((frame, key))
+                if hit:
+                    key = (name, tuple(sorted(used)))
+                    if key not in self.fired:
+                        results.append((frame, key))
                 continue
             _iri, _action, inputs, outputs = pats[i]
             children = []
@@ -485,7 +470,7 @@ class Engine:
         return invocations
 
     def _dispatch(self, inv: ActionRecord) -> None:
-        done = replace(inv, output=self._run_handle(inv))
+        done = inv._replace(output=self._run_handle(inv))
         self._append(record_to_json(done))
         self._insert_record(done)
         self.queue.append(done.id)
@@ -534,7 +519,7 @@ class Engine:
                 )
 
     def pending_matches(self) -> list:
-        """Every (sync name, FiringKey) a fresh matching pass would fire now.
+        """Every (rule name, guard) a fresh matching pass would fire now.
 
         A quiescent engine must return []: all satisfiable matches are
         already evidenced by firings.
@@ -645,8 +630,5 @@ class Engine:
     def trace_flow(self, flow: str) -> FlowTrace:
         """The provenance DAG of one flow: records, firings, and rule labels."""
         with self._lock:
-            recs = list(self._by_flow.get(flow, {}).values())
-            firings = tuple(self._firings_by_flow.get(flow, ()))
-            cause = {rid: (f.sync,) for f in firings for rid in f.targets}
-            nodes = tuple(TraceNode(r, cause.get(r.id, ())) for r in recs)
-            return FlowTrace(flow, recs[0] if recs else None, nodes, firings)
+            return FlowTrace(flow, tuple(self._by_flow.get(flow, {}).values()),
+                             tuple(self._firings_by_flow.get(flow, ())))

@@ -88,12 +88,19 @@ _STEP_RE = re.compile(r"^(after|then|and)\s+(\w+)\s*\[(.*?)\]\s*=>\s*\[(.*?)\]$"
 _FIELD_RE = re.compile(r"^(\w+)\s*:\s*(\w+)$")
 _INT_RE = re.compile(r"^-?\d+$")
 _STRING_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
+_LITERAL_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 SECTIONS = ("purpose", "state", "actions", "operational principle")
 
 
 def _balanced(text: str) -> bool:
     return text.count("[") == text.count("]")
+
+
+def _blank_strings(text: str) -> str:
+    """text with each string literal's contents blanked, at the same length,
+    so brackets and separators are found without looking inside strings."""
+    return _LITERAL_RE.sub(lambda m: '"' + "_" * (len(m.group()) - 2) + '"', text)
 
 
 def _sig_complete(text: str) -> bool:
@@ -142,8 +149,10 @@ def _split_pattern_fields(body: str, line: int):
     body = body.strip()
     if not body:
         return ()
-    for part in body.split(";"):
-        part = part.strip()
+    start = 0
+    for blanked in _blank_strings(body).split(";"):  # no split inside a string
+        part = body[start:start + len(blanked)].strip()
+        start += len(blanked) + 1
         if ":" not in part:
             raise SpecParseError(f"bad pattern field: {part!r}", line)
         name, _, value = part.partition(":")
@@ -253,7 +262,7 @@ def parse_concept(text: str) -> ConceptSpec:
             nonlocal buf
             if buf is None:
                 return
-            m = _STEP_RE.match(buf)
+            m = _STEP_RE.match(_blank_strings(buf))
             if not m:
                 raise SpecParseError(f"bad principle step: {buf!r}", buf_line)
             principle.append(
@@ -261,8 +270,8 @@ def parse_concept(text: str) -> ConceptSpec:
                     kind="action",
                     keyword=m.group(1),
                     action=m.group(2),
-                    inputs=_split_pattern_fields(m.group(3), buf_line),
-                    outputs=_split_pattern_fields(m.group(4), buf_line),
+                    inputs=_split_pattern_fields(buf[slice(*m.span(3))], buf_line),
+                    outputs=_split_pattern_fields(buf[slice(*m.span(4))], buf_line),
                 )
             )
             buf = None
@@ -273,7 +282,7 @@ def parse_concept(text: str) -> ConceptSpec:
                 flush_text()
                 buf = line
                 buf_line = n
-            elif buf is not None and not _sig_complete(buf):
+            elif buf is not None and not _sig_complete(_blank_strings(buf)):
                 buf += " " + line
             else:
                 flush_step()

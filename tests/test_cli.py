@@ -183,9 +183,11 @@ def test_replay_verdict_on_truncated_log(tmp_path, capsys):
     lines = log.read_text().splitlines()
     truncated = tmp_path / "truncated.log"
     truncated.write_text("".join(line + "\n" for line in lines[: len(lines) // 2]))
+    before = truncated.read_bytes()
     code, out, _ = run_main(capsys, "-c", str(path), "replay", str(truncated))
     assert code == 0
     assert "equal after recovery" in out
+    assert truncated.read_bytes() == before  # replay resumes a copy
 
 
 def test_replay_flags_version_mismatch(tmp_path, capsys):
@@ -206,6 +208,11 @@ def test_replay_empty_log_is_trivially_equal(tmp_path, capsys):
     code, out, _ = run_main(capsys, "-c", str(path), "replay", str(empty))
     assert code == 0
     assert "equal after recovery" in out
+    assert empty.read_bytes() == b""
+    missing = tmp_path / "missing.log"
+    code, out, _ = run_main(capsys, "-c", str(path), "replay", str(missing))
+    assert (code, out.strip()) == (0, "equal after recovery")
+    assert not missing.exists()  # replay creates no log
 
 
 def test_trace_prints_flow_dag(tmp_path, capsys):

@@ -69,9 +69,10 @@ def test_registration_trace_labels_and_root():
         "NewUserToken",
         "RegistrationResponse",
     }
-    for node in trace.nodes:
-        if node.record.id != trace.root.id:
-            assert node.syncs, f"{short(node.record)} has no responsible rule"
+    caused = {rid for f in trace.firings for rid in f.targets}
+    for rec in trace.records:
+        if rec.id != trace.root.id:
+            assert rec.id in caused, f"{short(rec)} has no responsible rule"
 
 
 def test_default_profile_caused_by_register_completion_only():
@@ -135,15 +136,15 @@ def test_unmatched_method_leaves_root_only():
     eng = build_engine()
     flow = run_flow(eng, {"method": "ping"})
     trace = eng.trace_flow(flow)
-    assert len(trace.nodes) == 1
+    assert len(trace.records) == 1
     assert trace.firings == ()
-    assert trace.root.id == trace.nodes[0].record.id
+    assert trace.root.id == trace.records[0].id
 
 
 def test_trace_of_unknown_flow_is_empty():
     eng = build_engine()
     trace = eng.trace_flow("no-such-flow")
-    assert trace.root is None and trace.nodes == () and trace.firings == ()
+    assert trace.root is None and trace.records == () and trace.firings == ()
 
 
 # ------------------------------------------------------- degraded dispatch
@@ -503,6 +504,7 @@ def _first_join(lines):
     pytest.param("from", lambda f: f["from"][:1] + [_UNLOGGED], id="from-unlogged"),
     pytest.param("then", lambda f: [dict(f["then"][0], flow="another-flow")], id="then-other-flow"),
     pytest.param("then", lambda f: [dict(f["then"][0], id=f["from"][0])], id="then-logged-id"),
+    pytest.param("then", lambda f: [dict(f["then"][0], input=["a"])], id="then-input-list"),
 ])
 def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
     lines = _registration_log(tmp_path / "run.log")
@@ -517,16 +519,40 @@ def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
     assert err.value.position == i + 1
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: [dict(d, flow="another-flow")],
-    lambda d: [d, d],
-    lambda d: [dict(d, id=_UNLOGGED)],
-    lambda d: [{k: v for k, v in d.items() if k != "output"}],
-], ids=["other-flow", "repeated", "no-invocation", "no-output"])
-def test_malformed_record_line_halts_at_it(tmp_path, edit):
-    # a record line starts a flow or completes one logged invocation of its flow
+def _root_line(lines):
+    return 1  # the line after the header
+
+
+def _set_line(lines):
+    return next(i for i, line in enumerate(lines) if json.loads(line).get("name") == "set")
+
+
+def _last_completion(lines):
+    return max(i for i, line in enumerate(lines) if "output" in json.loads(line))
+
+
+@pytest.mark.parametrize("line, edit", [
+    pytest.param(_set_line, lambda d: [dict(d, flow="another-flow")], id="other-flow"),
+    pytest.param(_set_line, lambda d: [d, d], id="repeated"),
+    pytest.param(_set_line, lambda d: [dict(d, id=_UNLOGGED)], id="no-invocation"),
+    pytest.param(_set_line, lambda d: [{k: v for k, v in d.items() if k != "output"}], id="no-output"),
+    # fields of a type the engine never writes
+    pytest.param(_root_line, lambda d: [dict(d, output=5)], id="output-int"),
+    pytest.param(_root_line, lambda d: [dict(d, input=["a"])], id="input-list"),
+    pytest.param(_root_line, lambda d: [dict(d, name=7)], id="name-int"),
+    pytest.param(_last_completion, lambda d: [dict(d, output="x")], id="last-output-str"),
+    # a completion that differs from its logged invocation
+    pytest.param(_set_line, lambda d: [dict(d, input=dict(d["input"], password="other1234"))],
+                 id="changed-input"),
+    pytest.param(_set_line, lambda d: [dict(d, name="validate")], id="other-name"),
+    pytest.param(_set_line, lambda d: [dict(d, concept=d["concept"].rsplit("/", 1)[0] + "/User")],
+                 id="other-concept"),
+])
+def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
+    # a record line starts a flow or completes one logged invocation of its
+    # flow, as it was made, and every field has the type the engine writes
     lines = _registration_log(tmp_path / "run.log")
-    i = next(i for i, line in enumerate(lines) if json.loads(line).get("name") == "set")
+    i = line(lines)
     new = [json.dumps(d) for d in edit(json.loads(lines[i]))]
     lines[i:i + 1] = new
     path = tmp_path / "bad.log"

@@ -1,6 +1,6 @@
 """Concept language: parsing, printing, qualification, and principle runs."""
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tandem.core import Ref
 from tandem.speclang import (
@@ -447,7 +447,8 @@ def _specs(draw):
 
     value = st.one_of(
         _word.map(Sym), st.integers(-999, 999), st.booleans(),
-        st.from_regex(r"[a-z ]{0,8}", fullmatch=True))
+        # strings hold the spec's own separators, quotes and escapes
+        st.from_regex(r'[a-z ;\[\]"\\=>#]{0,8}', fullmatch=True))
     step_sigs = draw(st.lists(st.sampled_from(actions), max_size=3)) if actions else []
     steps = [
         PrincipleStep(
@@ -473,8 +474,21 @@ def _specs(draw):
         principle=tuple(steps))
 
 
+def _principle_with(value):
+    """A one-step principle whose strings hold `value`, then a text line."""
+    step = PrincipleStep(kind="action", keyword="after", action="go",
+                         inputs=(("a", value), ("b", 1)), outputs=(("c", value),))
+    return ConceptSpec("Go", (), "p", (), (ActionSig("go", (), (), False, False, ()),),
+                       (step, PrincipleStep(kind="text", text="and then")))
+
+
 @settings(max_examples=120, deadline=None)
 @given(_specs())
+@example(_principle_with("a;b"))
+@example(_principle_with("] => ["))
+@example(_principle_with("["))
+@example(_principle_with('";x: "y'))
+@example(_principle_with('\\"#'))
 def test_print_then_parse_recovers_spec(spec):
     assert parse_concept(print_concept(spec)) == spec
 
