@@ -3,10 +3,16 @@
 Every action occurrence in the system is an ActionRecord. A record without an
 output is an invocation (work someone asked for); the same record with an
 output filled in is a completion. A Firing is one rule firing: the completions
-it joined and the invocations it made, none for a no-op. Both are held as
-their JSON log lines hold them, in an append-only log, the one record of
-history, so a run and its provenance can be replayed after a crash. A record
-read back is checked once, by record_from_doc.
+it joined and the invocations it made, none for a no-op. Both are written as
+JSON lines to an append-only log, the one record of history, so a run and its
+provenance can be replayed after a crash.
+
+The log holds each input once. An invocation is written with its input in
+the then of the firing that made it, and its completion without it; only a
+flow's first completion, which no firing made, carries its input on its own
+line. A record read back is checked once: by record_from_doc if its line
+holds its input, else by completion_from_doc against the invocation it
+completes.
 """
 from __future__ import annotations
 
@@ -123,8 +129,16 @@ def value_key(value):
 
 
 def values_equal(a, b) -> bool:
-    """Strict equality: same type tag, same value (True does not equal 1)."""
-    return value_key(a) == value_key(b)
+    """Strict equality, as value_key sees it: same type, then the same value
+    (True does not equal 1, nor a Ref its IRI string), item by item for
+    lists and records."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(values_equal, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(values_equal(v, b[k]) for k, v in a.items())
+    return a == b
 
 
 def qualify(prefix: str, concept: str, action: str | None = None, arg: str | None = None) -> str:
@@ -157,9 +171,10 @@ class Quad:
 
 
 class ActionRecord(NamedTuple):
-    """One action occurrence, as its log line holds it. Immutable; its
-    completion is rec._replace(output=...). Nothing is checked here: the
-    engine mints its own records, and record_from_doc checks the rest."""
+    """One action occurrence. Immutable; its completion is
+    rec._replace(output=...), as recovery rebuilds it from its input-free
+    line. Nothing is checked here: the engine mints its own records, and
+    record_from_doc and completion_from_doc check the rest."""
 
     id: str
     concept: str
@@ -235,26 +250,25 @@ def _json_default(value):
 _LOG_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_default)
 
 
-def _record_doc(rec: ActionRecord) -> dict:
-    doc = {
-        "id": rec.id,
-        "concept": rec.concept,
-        "name": rec.name,
-        "flow": rec.flow,
-        "input": rec.input,
-    }
+def _record_doc(rec: ActionRecord, with_input: bool = True) -> dict:
+    doc = {"id": rec.id, "concept": rec.concept, "name": rec.name, "flow": rec.flow}
+    if with_input:
+        doc["input"] = rec.input
     if rec.output is not None:
         doc["output"] = rec.output
     return doc
 
 
-def record_to_json(rec: ActionRecord) -> str:
-    return _LOG_ENCODER.encode(_record_doc(rec))
+def record_to_json(rec: ActionRecord, with_input: bool = True) -> str:
+    """A record's line. The completion of a logged invocation goes without
+    its input (with_input=False): the firing line that made it holds it."""
+    return _LOG_ENCODER.encode(_record_doc(rec, with_input))
 
 
 def record_from_doc(doc: dict) -> ActionRecord:
-    """The record of an already parsed log line, the one way a record comes
-    in from outside: refused unless its fields have the types it is minted with."""
+    """The record of an already parsed line that holds its input, a flow's
+    first completion or an invocation in a firing's then: refused unless its
+    fields have the types it is minted with."""
     rec = ActionRecord(
         id=require_iri(doc["id"], "record id"),
         concept=require_iri(doc["concept"], "concept iri"),
@@ -268,6 +282,27 @@ def record_from_doc(doc: dict) -> ActionRecord:
     if not (isinstance(rec.input, dict) and (rec.output is None or isinstance(rec.output, dict))):
         raise ValueError("a record's input and output are records")
     return rec
+
+
+_COMPLETION_KEYS = {"id", "concept", "name", "flow", "output"}
+
+
+def completion_from_doc(doc: dict, records: dict) -> ActionRecord:
+    """The completion an already parsed input-free line makes of the logged
+    invocation it names (records maps ids to records): refused unless that
+    invocation has no output yet, the line repeats its concept, action and
+    flow, and its output is a record. The input is the invocation's own."""
+    if doc.keys() != _COMPLETION_KEYS:
+        raise ValueError("a completion line holds id, concept, name, flow and output")
+    inv = records.get(doc["id"])
+    if inv is None or inv.output is not None:
+        raise ValueError("a completion line completes a logged invocation that has no output yet")
+    if (inv.concept, inv.name, inv.flow) != (doc["concept"], doc["name"], doc["flow"]):
+        raise ValueError("a completion line repeats its invocation's concept, action and flow")
+    output = from_jsonable(doc["output"])
+    if not isinstance(output, dict):
+        raise ValueError("a record's output is a record")
+    return inv._replace(output=output)
 
 
 def firing_to_json(sync: str, sources: tuple, invocations: list) -> str:

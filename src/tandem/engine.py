@@ -8,11 +8,15 @@ flow, the where clause is evaluated against current concept state, and each
 surviving frame instantiates the then templates as fresh invocations. Each
 append to the JSON-lines log is one line, written before it takes effect: a
 completion, a firing {"sync","from","then"} (then is empty for a no-op), or a
-mark. Records and firings are held as their lines hold them; a firing is the
-provenance, and its (rule, completions) pair the guard that keeps it from
-firing twice. The engine trusts what it mints; recovery checks each line
-once, as it comes in, so a recovered engine holds what the writer held. The
-log is the only record of history; the quad store holds concept state only.
+mark. Each input is written once: an invocation's in its firing's then, so
+its completion's line holds only its output, and a flow's first completion's
+on its own line. The header names the version and the format, and a build
+reads its own format only. Firings are held as their lines hold them; a
+firing is the provenance, and its (rule, completions) pair the guard that
+keeps it from firing twice. The engine trusts what it mints; recovery checks
+each line once, as it comes in, so a recovered engine holds what the writer
+held. The log is the only record of history; the quad store holds concept
+state only.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
@@ -58,6 +62,7 @@ from .core import (
     UUID_RE,
     ActionRecord,
     Firing,
+    completion_from_doc,
     firing_from_doc,
     firing_to_json,
     new_flow,
@@ -80,6 +85,9 @@ from .store import (
 from .synclang import Rec, SyncDef, check_syncs
 
 DEFAULT_PREFIX = "https://concepts.example/v0/"
+
+# the header's format tag: a build reads one format and refuses the others at line 1
+LOG_FORMAT = 2
 
 QUIET_LINE = '{"quiet":true}'
 _QUIET_BYTES = (QUIET_LINE + "\n").encode()
@@ -298,7 +306,7 @@ class Engine:
             self._log_path = Path(path)
             self._log = open(self._log_path, "a", encoding="utf-8")
             if self._log.tell() == 0:
-                self._log.write(json.dumps({"version": self.version}) + "\n")
+                self._log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
                 self._log.flush()
 
     def close(self) -> None:
@@ -346,19 +354,6 @@ class Engine:
         repeats = (sync, sources) in self.fired or not self.records.keys().isdisjoint(ids)
         if repeats or len(ids) < len(invocations):
             raise ValueError("a firing line repeats a logged firing or record")
-
-    def _check_completion(self, rec: ActionRecord) -> None:
-        """Refuse a logged record unless it is a completion that starts a
-        flow or completes a logged invocation and repeats it: the same
-        concept, action and flow, and an input equal under values_equal."""
-        old = self.records.get(rec.id)
-        if old is None:
-            fits = rec.flow not in self._by_flow
-        else:
-            same = (old.concept, old.name, old.flow) == (rec.concept, rec.name, rec.flow)
-            fits = old.output is None and same and values_equal(old.input, rec.input)
-        if not (rec.output is not None and fits):
-            raise ValueError("a record line neither starts a flow nor completes a logged invocation unchanged")
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -470,8 +465,10 @@ class Engine:
         return invocations
 
     def _dispatch(self, inv: ActionRecord) -> None:
+        # an invocation the engine holds is logged, input and all, on its firing's line
+        logged = inv.id in self.records
         done = inv._replace(output=self._run_handle(inv))
-        self._append(record_to_json(done))
+        self._append(record_to_json(done, with_input=not logged))
         self._insert_record(done)
         self.queue.append(done.id)
 
@@ -542,8 +539,11 @@ class Engine:
         Concept state is rebuilt by re-running each completed action's
         handle; the logged output stays authoritative. Firing guards come
         back from the firing lines, so nothing already fired fires twice.
-        A line the writer could not have made fails with RecoveryError.
-        Returns the version tag the log was written under (None when empty).
+        A completion line without an input completes the invocation its
+        firing line logged, with that invocation's input. A line the writer
+        could not have made fails with RecoveryError, and so does a header
+        of another format than LOG_FORMAT, at line 1. Returns the version
+        tag the log was written under (None when empty).
 
         Resume cuts off a torn last line, re-queues the completions logged
         after the last quiet mark and dispatches every invocation that never
@@ -567,8 +567,11 @@ class Engine:
                     break
                 if pos == 1:
                     head = _read_doc(line, 1)
-                    if head.keys() != {"version"}:
+                    if "version" not in head or not head.keys() <= {"version", "format"}:
                         raise RecoveryError("missing version header", 1)
+                    fmt = head.get("format", 1)  # the tag came with format 2
+                    if fmt != LOG_FORMAT:
+                        raise RecoveryError(f"log format {fmt}, this build reads format {LOG_FORMAT}", 1)
                     version = head["version"]
                     continue
                 if line == _QUIET_BYTES:
@@ -586,8 +589,13 @@ class Engine:
                         self._insert_firing(sync, sources, invocations)
                         maybe_pending.extend(inv.id for inv in invocations)
                         continue
-                    rec = record_from_doc(doc)
-                    self._check_completion(rec)
+                    if "input" not in keys:
+                        rec = completion_from_doc(doc, self.records)
+                    else:
+                        rec = record_from_doc(doc)
+                        # a line that holds its input is a flow's first completion
+                        if rec.output is None or rec.id in self.records or rec.flow in self._by_flow:
+                            raise ValueError("a record line with its input starts a new flow under a new id")
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 self._insert_record(rec)

@@ -11,6 +11,7 @@ from tandem.core import (
     NamingError,
     Ref,
     canonical_value,
+    completion_from_doc,
     firing_from_doc,
     firing_to_json,
     new_flow,
@@ -19,6 +20,7 @@ from tandem.core import (
     record_from_doc,
     record_to_json,
     value_key,
+    values_equal,
 )
 
 PREFIX = "https://concepts.example/v0/"
@@ -80,6 +82,46 @@ def test_canonical_value_rejects_floats_and_overflow():
 def test_value_key_orders_across_types():
     vals = [NIL, False, True, -1, 5, "a", Ref("uuid://x"), [1], {"a": 1}]
     assert sorted(vals, key=value_key) == vals
+
+
+# a small alphabet, so that equal and look-alike values come up often
+_alike_st = st.recursive(
+    st.sampled_from([True, False, 0, 1, "a", "uuid://a", Ref("uuid://a"), NIL]),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from(["a", "b"]), kids, min_size=1, max_size=2),
+    ),
+    max_leaves=6,
+)
+
+
+def _lookalike(value, flip):
+    """value with each scalar flip() picks swapped for one of another type
+    that == alone would take for it, or that prints like it."""
+    if isinstance(value, list):
+        return [_lookalike(v, flip) for v in value]
+    if isinstance(value, dict):
+        return {k: _lookalike(v, flip) for k, v in value.items()}
+    if not flip():
+        return value
+    if value is NIL:
+        return []
+    if isinstance(value, Ref):
+        return value.iri
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return bool(value)
+    return Ref(value) if "://" in value else [value]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_alike_st, data=st.data())
+def test_values_equal_agrees_with_value_key(a, data):
+    flip = lambda: data.draw(st.booleans())  # noqa: E731
+    b = data.draw(st.one_of(st.just(a), _alike_st, st.just(a).map(lambda v: _lookalike(v, flip))))
+    assert values_equal(a, b) == (value_key(a) == value_key(b))
+    assert values_equal(b, a) == values_equal(a, b)
 
 
 # ---------------------------------------------------------------- records
@@ -151,3 +193,14 @@ def test_firing_line_round_trip():
         assert doc["from"] == ["uuid://a", "uuid://b"]
         assert doc["then"] == [json.loads(record_to_json(r)) for r in invocations]
         assert firing_from_doc(doc) == ("Registration", ("uuid://a", "uuid://b"), invocations)
+
+
+def test_completion_line_leaves_out_its_input():
+    inv = make_record({"user": Ref("uuid://u1"), "flag": True})
+    done = inv._replace(output={"user": Ref("uuid://u1")})
+    doc = json.loads(record_to_json(done, with_input=False))
+    assert list(doc) == ["id", "concept", "name", "flow", "output"]
+    assert completion_from_doc(doc, {inv.id: inv}) == done
+    with pytest.raises(ValueError):  # nothing completes twice
+        completion_from_doc(doc, {inv.id: done})
+

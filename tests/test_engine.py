@@ -26,6 +26,7 @@ from support import (
 from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
 from tandem.core import Ref, qualify, to_jsonable
 from tandem.engine import (
+    LOG_FORMAT,
     QUIET_LINE,
     Engine,
     EngineError,
@@ -379,7 +380,7 @@ def test_log_starts_with_version_header(tmp_path):
     run_flow(eng, register_payload())
     eng.close()
     lines = (tmp_path / "run.log").read_text().splitlines()
-    assert json.loads(lines[0]) == {"version": "v7"}
+    assert json.loads(lines[0]) == {"version": "v7", "format": LOG_FORMAT}
     assert len(lines) > 1
 
 
@@ -536,21 +537,27 @@ def _last_completion(lines):
     pytest.param(_set_line, lambda d: [d, d], id="repeated"),
     pytest.param(_set_line, lambda d: [dict(d, id=_UNLOGGED)], id="no-invocation"),
     pytest.param(_set_line, lambda d: [{k: v for k, v in d.items() if k != "output"}], id="no-output"),
+    pytest.param(_set_line, lambda d: [{k: v for k, v in d.items() if k != "flow"}], id="no-flow"),
+    pytest.param(_set_line, lambda d: [dict(d, note="x")], id="extra-key"),
+    # the root line again, without its input: its id is completed already
+    pytest.param(_root_line, lambda d: [d, {k: v for k, v in d.items() if k != "input"}], id="completed-id"),
+    pytest.param(_root_line, lambda d: [d, dict(d, id=_UNLOGGED)], id="root-flow-in-use"),
     # fields of a type the engine never writes
     pytest.param(_root_line, lambda d: [dict(d, output=5)], id="output-int"),
     pytest.param(_root_line, lambda d: [dict(d, input=["a"])], id="input-list"),
     pytest.param(_root_line, lambda d: [dict(d, name=7)], id="name-int"),
     pytest.param(_last_completion, lambda d: [dict(d, output="x")], id="last-output-str"),
-    # a completion that differs from its logged invocation
-    pytest.param(_set_line, lambda d: [dict(d, input=dict(d["input"], password="other1234"))],
-                 id="changed-input"),
+    # only a flow's first completion holds its input; the rest repeat their invocation
+    pytest.param(_set_line, lambda d: [dict(d, input={"password": "opensesame1"})],
+                 id="completion-with-input"),
     pytest.param(_set_line, lambda d: [dict(d, name="validate")], id="other-name"),
     pytest.param(_set_line, lambda d: [dict(d, concept=d["concept"].rsplit("/", 1)[0] + "/User")],
                  id="other-concept"),
 ])
 def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
-    # a record line starts a flow or completes one logged invocation of its
-    # flow, as it was made, and every field has the type the engine writes
+    # a record line starts a flow under a new id and flow, or completes one
+    # logged invocation of its flow, as it was made, and every field has the
+    # type the engine writes
     lines = _registration_log(tmp_path / "run.log")
     i = line(lines)
     new = [json.dumps(d) for d in edit(json.loads(lines[i]))]
@@ -572,6 +579,38 @@ def test_repeated_firing_line_halts_at_the_repeat(tmp_path):
     with pytest.raises(RecoveryError) as err:
         build_engine().recover_from(path)
     assert err.value.position == i + 3
+
+
+def test_untagged_header_halts_at_line_one(tmp_path):
+    lines = _registration_log(tmp_path / "run.log")
+    lines[0] = json.dumps({"version": "dev"})
+    path = tmp_path / "old.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError, match="log format 1, this build reads format 2") as err:
+        build_engine().recover_from(path)
+    assert err.value.position == 1
+
+
+def test_pre_format_tag_log_halts_at_line_one(tmp_path):
+    # before the tag, every completion line also held its invocation's input
+    lines = _registration_log(tmp_path / "run.log")
+    inputs = {}
+    for i, line in enumerate(lines[1:], start=1):
+        doc = json.loads(line)
+        inputs.update((inv["id"], inv["input"]) for inv in doc.get("then", ()))
+        if doc.get("id") in inputs:
+            doc = {k: doc[k] for k in ("id", "concept", "name", "flow")} | {
+                "input": inputs[doc["id"]], "output": doc["output"]}
+            lines[i] = json.dumps(doc, separators=(",", ":"))
+    first_full = 3  # the User/register completion, after the first firing
+    assert '"input"' in lines[first_full] and '"sync"' in lines[first_full - 1]
+    path = tmp_path / "old.log"
+    for head, position in (({"version": "dev"}, 1), ({"version": "dev", "format": 2}, first_full + 1)):
+        lines[0] = json.dumps(head)
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(RecoveryError) as err:
+            build_engine().recover_from(path)
+        assert err.value.position == position
 
 
 def test_missing_header_halts_at_line_one(tmp_path):
@@ -643,7 +682,7 @@ def test_each_append_is_one_line(tmp_path):
     eng.close()
     lines = path.read_text().splitlines()
     assert lines[1:] == appends
-    kinds = []
+    kinds, flows = [], set()
     for line in appends:
         doc = json.loads(line)
         if doc.keys() == {"sync", "from", "then"}:
@@ -654,6 +693,9 @@ def test_each_append_is_one_line(tmp_path):
             kinds.append("quiet")
         else:
             assert "output" in doc
+            # only a flow's first completion holds its input
+            assert ("input" in doc) == (doc["flow"] not in flows)
+            flows.add(doc["flow"])
             kinds.append("completion")
     assert set(kinds) == {"completion", "firing", "noop", "quiet"}
     # one firing line per guard, so the line count follows the firings
