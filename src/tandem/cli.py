@@ -8,9 +8,7 @@ import argparse
 import gc
 import json
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,12 +150,10 @@ def _lint_or_die(eng: Engine) -> None:
 
 
 def _open_log(eng: Engine, cfg: AppConfig) -> None:
-    """Resume the configured log when it exists, else start a new one."""
-    if cfg.log.exists():
-        eng.recover_from(cfg.log)
-        eng.run_to_quiescence()
-    else:
-        eng.attach_log(cfg.log)
+    """Resume the configured log, or start it, and finish its unfinished work."""
+    eng.recover_from(cfg.log)
+    eng.attach_log(cfg.log)
+    eng.run_to_quiescence()
 
 
 def cmd_lint(args) -> int:
@@ -226,14 +222,9 @@ def cmd_replay(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else cfg.log
     recovered = assemble(cfg)
-    # resume a copy: replay checks the log and leaves it as it found it
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "replay.log"
-        if log_path.exists():
-            shutil.copyfile(log_path, copy)
-        log_version = recovered.recover_from(copy)
-        recovered.run_to_quiescence()
-        recovered.close()
+    # resumed in memory, with no log attached: replay leaves the log as it found it
+    log_version = recovered.recover_from(log_path)
+    recovered.run_to_quiescence()
 
     oracle = assemble(cfg)
     for root in recovered.root_records():

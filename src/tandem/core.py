@@ -81,19 +81,9 @@ def canonical_value(value):
     Empty lists become NIL, tuples become lists, integral floats are
     rejected along with every other float (the model has no floats).
     """
-    if value is NIL or isinstance(value, (Ref, bool)):
-        return value
-    if isinstance(value, int):
-        if not (_MIN_INT <= value <= _MAX_INT):
-            raise ValueError(f"integer out of 64-bit range: {value}")
-        return value
+    # the commonest kinds first: strings, most leaves, then records
     if isinstance(value, str):
         return value
-    if isinstance(value, float):
-        raise ValueError(f"floats are not valid values: {value!r}")
-    if isinstance(value, (list, tuple)):
-        items = [canonical_value(v) for v in value]
-        return items if items else NIL
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -101,6 +91,17 @@ def canonical_value(value):
                 raise ValueError(f"record field names must be non-empty strings: {k!r}")
             out[k] = canonical_value(v)
         return out
+    if value is NIL or isinstance(value, (Ref, bool)):
+        return value
+    if isinstance(value, int):
+        if not (_MIN_INT <= value <= _MAX_INT):
+            raise ValueError(f"integer out of 64-bit range: {value}")
+        return value
+    if isinstance(value, (list, tuple)):
+        items = [canonical_value(v) for v in value]
+        return items if items else NIL
+    if isinstance(value, float):
+        raise ValueError(f"floats are not valid values: {value!r}")
     if value is None:
         raise ValueError("None is not a value; use NIL for an empty list")
     raise ValueError(f"unsupported value type: {type(value).__name__}")
@@ -265,26 +266,30 @@ def record_to_json(rec: ActionRecord, with_input: bool = True) -> str:
     return _LOG_ENCODER.encode(_record_doc(rec, with_input))
 
 
-def record_from_doc(doc: dict) -> ActionRecord:
+_INVOCATION_KEYS = {"id", "concept", "name", "flow", "input"}
+_ROOT_KEYS = _INVOCATION_KEYS | {"output"}
+_COMPLETION_KEYS = _ROOT_KEYS - {"input"}
+
+
+def record_from_doc(doc: dict, completed: bool) -> ActionRecord:
     """The record of an already parsed line that holds its input, a flow's
-    first completion or an invocation in a firing's then: refused unless its
-    fields have the types it is minted with."""
+    first completion (completed) or an invocation in a firing's then:
+    refused unless its keys and field types are those it is minted with."""
+    if doc.keys() != (_ROOT_KEYS if completed else _INVOCATION_KEYS):
+        raise ValueError("a record line holds exactly the keys of its kind")
     rec = ActionRecord(
         id=require_iri(doc["id"], "record id"),
         concept=require_iri(doc["concept"], "concept iri"),
         name=doc["name"],
         flow=doc["flow"],
         input=from_jsonable(doc["input"]),
-        output=from_jsonable(doc["output"]) if "output" in doc else None,
+        output=from_jsonable(doc["output"]) if completed else None,
     )
     if not (isinstance(rec.name, str) and rec.name and isinstance(rec.flow, str) and rec.flow):
         raise NamingError("action name and flow token must be non-empty strings")
     if not (isinstance(rec.input, dict) and (rec.output is None or isinstance(rec.output, dict))):
         raise ValueError("a record's input and output are records")
     return rec
-
-
-_COMPLETION_KEYS = {"id", "concept", "name", "flow", "output"}
 
 
 def completion_from_doc(doc: dict, records: dict) -> ActionRecord:
@@ -319,7 +324,4 @@ def firing_from_doc(doc: dict) -> tuple:
         raise ValueError("a firing line names a rule and a list of completion ids")
     if not sources or sources != sorted(set(sources)):
         raise ValueError("a firing line's completion ids are sorted, distinct and at least one")
-    invocations = [record_from_doc(d) for d in then]
-    if any(r.is_completion for r in invocations):
-        raise ValueError("a firing line holds invocations, not completions")
-    return sync, tuple(sources), invocations
+    return sync, tuple(sources), [record_from_doc(d, completed=False) for d in then]

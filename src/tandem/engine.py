@@ -37,31 +37,33 @@ Two control lines mark what the log already proves finished. When
 run_to_quiescence has stepped at least one completion and finds the queue
 empty, it appends a quiet mark, {"quiet":true}: every completion logged
 before it has been matched. When it gives up on a flow for exceeding
-step_limit, it takes that flow's completions off the queue and appends a
-halt mark, {"halt":"<flow>"}. Resume re-queues only the completions after
-the last quiet mark and leaves halted flows alone, so a restart re-matches
-the unfinished tail instead of the whole history (redo from the last point
-the log shows complete, as in ARIES). A log without marks re-matches every
-completion, which the firing guards make inert. Bytes after the last
-newline are a write a crash cut short: recovery skips them with a
-RuntimeWarning and resume cuts them off before appending.
+step_limit, it takes that flow's records off the queue and appends a
+halt mark, {"halt":"<flow>"}. Resume queues the invocations that never
+completed, then the completions after the last quiet mark, except those of
+halted flows, so a restart re-matches the unfinished tail instead of the
+whole history (redo from the last point the log shows complete, as in
+ARIES). A log without marks re-matches every completion, which the firing
+guards make inert. Recovery only reads the log: bytes after its last
+newline, a write a crash cut short, are skipped with a RuntimeWarning, and
+attach_log, the one writer, cuts them off before it appends.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import (
     UUID_RE,
     ActionRecord,
     Firing,
+    canonical_value,
     completion_from_doc,
     firing_from_doc,
     firing_to_json,
@@ -248,7 +250,6 @@ class Engine:
         self.queue: deque = deque()
         self._by_iri: dict[str, str] = {}
         self._log = None
-        self._log_path: Path | None = None
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------- assembly
@@ -302,10 +303,17 @@ class Engine:
     # ------------------------------------------------------------ durability
 
     def attach_log(self, path) -> None:
-        with self._lock:
-            self._log_path = Path(path)
-            self._log = open(self._log_path, "a", encoding="utf-8")
-            if self._log.tell() == 0:
+        """Append to the log at path from now on, a new one with its header
+        when empty, once the bytes after its last newline are cut off."""
+        with self._lock, open(path, "ab+") as log:
+            size = log.seek(0, os.SEEK_END)
+            if size and os.pread(log.fileno(), 1, size - 1) != b"\n":
+                # rfind on a mapping reads back from the end, a page at a time
+                with mmap.mmap(log.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                    size = data.rfind(b"\n") + 1
+                log.truncate(size)
+            self._log = open(path, "a", encoding="utf-8")
+            if size == 0:
                 self._log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
                 self._log.flush()
 
@@ -391,8 +399,10 @@ class Engine:
                 raise EngineError(
                     f"external submissions enter through the bootstrap concept, not {concept}"
                 )
+            # a value the log cannot read back is refused before it is logged
+            inputs = canonical_value(dict(inputs))
             flow = new_flow()
-            self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, dict(inputs)))
+            self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, inputs))
             return flow
 
     def _visits(self, trigger: ActionRecord):
@@ -467,17 +477,25 @@ class Engine:
     def _dispatch(self, inv: ActionRecord) -> None:
         # an invocation the engine holds is logged, input and all, on its firing's line
         logged = inv.id in self.records
-        done = inv._replace(output=self._run_handle(inv))
+        try:
+            out = canonical_value(self._run_handle(inv))
+        except ValueError as exc:  # a value the log could not read back
+            out = {"error": f"{self._by_iri[inv.concept]}/{inv.name} returned {exc}"}
+        done = inv._replace(output=out)
         self._append(record_to_json(done, with_input=not logged))
         self._insert_record(done)
         self.queue.append(done.id)
 
     def step(self) -> bool:
-        """Process one queued completion. False when the queue is empty."""
+        """Process one queued record: match a completion against the rules,
+        or dispatch an invocation recovery queued. False when it is empty."""
         with self._lock:
             if not self.queue:
                 return False
             trigger = self.records[self.queue.popleft()]
+            if not trigger.is_completion:
+                self._dispatch(trigger)
+                return True
             for rule in self._visits(trigger):
                 for frame, key in self._match_when(rule, trigger):
                     for inv in self._fire(rule, frame, key, trigger.flow):
@@ -534,7 +552,7 @@ class Engine:
     # -------------------------------------------------------------- recovery
 
     def recover_from(self, path, resume: bool = True) -> str | None:
-        """Replay a log into this engine, then reopen it for appending.
+        """Replay a log into this engine. The log is only read.
 
         Concept state is rebuilt by re-running each completed action's
         handle; the logged output stays authoritative. Firing guards come
@@ -545,24 +563,21 @@ class Engine:
         of another format than LOG_FORMAT, at line 1. Returns the version
         tag the log was written under (None when empty).
 
-        Resume cuts off a torn last line, re-queues the completions logged
-        after the last quiet mark and dispatches every invocation that never
-        completed, except those of halted flows.
+        Resume queues the work the log leaves unfinished, except that of
+        halted flows: every invocation that never completed, for step to
+        dispatch, then the completions after the last quiet mark, to match
+        again. A caller that goes on writing the log then attaches it.
 
-        resume=False loads the log read-only for inspection: no reopening,
-        no pending dispatch, nothing queued.
+        resume=False queues nothing: the history is loaded for inspection.
         """
-        log_path = Path(path)
         version = None
-        torn = b""  # bytes after the last newline: a write the crash cut short
         completions: list[str] = []  # since the last quiet mark
         maybe_pending: list[str] = []
         halted: set = set()
-        with self._lock, (open(log_path, "rb") if log_path.exists() else io.BytesIO()) as log:
+        with self._lock, (open(path, "rb") if os.path.exists(path) else io.BytesIO()) as log:
             for pos, line in enumerate(log, start=1):
                 if not line.endswith(b"\n"):
-                    torn = line
-                    warnings.warn(f"line {pos}: skipped {len(torn)} bytes after the last newline",
+                    warnings.warn(f"line {pos}: skipped {len(line)} bytes after the last newline",
                                   RuntimeWarning, stacklevel=2)
                     break
                 if pos == 1:
@@ -592,31 +607,21 @@ class Engine:
                     if "input" not in keys:
                         rec = completion_from_doc(doc, self.records)
                     else:
-                        rec = record_from_doc(doc)
+                        rec = record_from_doc(doc, completed=True)
                         # a line that holds its input is a flow's first completion
-                        if rec.output is None or rec.id in self.records or rec.flow in self._by_flow:
+                        if rec.id in self.records or rec.flow in self._by_flow:
                             raise ValueError("a record line with its input starts a new flow under a new id")
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 self._insert_record(rec)
                 self._run_handle(rec)  # rebuilds state; the logged output stands
                 completions.append(rec.id)
-            pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
-            if halted:
-                completions = [rid for rid in completions if self.records[rid].flow not in halted]
-                pending = [rid for rid in pending if self.records[rid].flow not in halted]
             if resume:
-                # the completions the log does not show matched get another
-                # pass; the guards make the ones that already fired inert
-                self.queue.extend(completions)
-        if not resume:
-            return version
-        if torn:
-            os.truncate(log_path, log_path.stat().st_size - len(torn))
-        self.attach_log(log_path)
-        with self._lock:
-            for rid in pending:
-                self._dispatch(self.records[rid])
+                # invocations complete before anything is matched; the guards
+                # make the completions that already fired inert
+                pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
+                self.queue.extend(rid for rid in pending + completions
+                                  if self.records[rid].flow not in halted)
         return version
 
     # ------------------------------------------------------------ inspection

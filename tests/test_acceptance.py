@@ -271,12 +271,13 @@ def test_c06_every_crash_point_recovers_to_the_oracle(tmp_path):
             warnings.simplefilter("always")
             eng2.recover_from(trunc)
         assert [str(w.message) for w in caught] == ([warning] if warning else [])
+        eng2.attach_log(trunc)
         eng2.run_to_quiescence()
         eng2.close()
         got = sorted(normalize_actions(eng2.actions()))
         # a torn root line leaves nothing durable: no flow, not a part of one
         assert got == oracle or (cut < ends[1] and got == []), f"diverged when cut at byte {cut}"
-        # resume cut the torn bytes off, so the log now reads back whole
+        # attaching cut the torn bytes off, so the log now reads back whole
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eng3 = build_engine()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -181,13 +182,21 @@ def test_replay_verdict_on_truncated_log(tmp_path, capsys):
     run_main(capsys, "-c", str(path), "request", "register", str(payload))
     log = tmp_path / "run.log"
     lines = log.read_text().splitlines()
+    n = len(lines) // 2
+    half = "".join(line + "\n" for line in lines[:n])
     truncated = tmp_path / "truncated.log"
-    truncated.write_text("".join(line + "\n" for line in lines[: len(lines) // 2]))
-    before = truncated.read_bytes()
-    code, out, _ = run_main(capsys, "-c", str(path), "replay", str(truncated))
-    assert code == 0
-    assert "equal after recovery" in out
-    assert truncated.read_bytes() == before  # replay resumes a copy
+    torn = f"line {n + 1}: skipped 9 bytes after the last newline"
+    # cut between two lines, then inside the next one
+    for cut, warned in ((half, []), (half + lines[n][:9], [torn])):
+        truncated.write_text(cut)
+        before = truncated.read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_main(capsys, "-c", str(path), "replay", str(truncated))
+        assert [str(w.message) for w in caught] == warned
+        assert code == 0
+        assert "equal after recovery" in out
+        assert truncated.read_bytes() == before  # replay resumes in memory
 
 
 def test_replay_flags_version_mismatch(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Engine behavior: matching, firing, provenance, recovery, tracing."""
 import gc
 import json
+import os
 import random
 import tempfile
 import uuid
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +26,7 @@ from support import (
     seed_article,
 )
 from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
-from tandem.core import Ref, qualify, to_jsonable
+from tandem.core import NIL, Ref, qualify, to_jsonable
 from tandem.engine import (
     LOG_FORMAT,
     QUIET_LINE,
@@ -118,6 +120,34 @@ def test_submit_external_rejects_non_bootstrap():
         eng.submit_external("User", "register", {"user": Ref("uuid://u"), "name": "x", "email": "y"})
 
 
+@pytest.mark.parametrize("value", [1.5, None], ids=["float", "none"])
+def test_submission_of_no_value_is_refused_before_it_is_logged(tmp_path, value):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    size = path.stat().st_size
+    with pytest.raises(ValueError):
+        eng.submit_external("Web", "request", {"method": "ping", "x": value})
+    eng.close()
+    assert path.stat().st_size == size
+    eng2 = build_engine()
+    eng2.recover_from(path, resume=False)
+    assert normalize_actions(eng2.actions()) == normalize_actions(eng.actions())
+
+
+def test_submitted_values_read_the_same_live_and_recovered(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    flow = run_flow(eng, {"method": "ping", "tags": [], "pair": (1, 2)})
+    eng.close()
+    assert eng.flow_records(flow)[0].input == {"method": "ping", "tags": NIL, "pair": [1, 2]}
+    eng2 = build_engine()
+    eng2.recover_from(path, resume=False)
+    assert eng2.flow_records(flow) == eng.flow_records(flow)
+
+
 def test_two_submissions_two_flows():
     eng = build_engine()
     f1 = eng.submit_external("Web", "request", {"method": "ping"})
@@ -204,6 +234,38 @@ def test_raising_handle_becomes_error_completion():
     assert "kaput" in go[0].output["error"]
 
 
+def test_handle_output_of_no_value_becomes_error_completion(tmp_path):
+    class Floater:
+        def attach(self, view, ns):
+            pass
+
+        def invoke(self, action, inputs, record_id):
+            return {"x": 1.5}
+
+    def engine():
+        eng = Engine()
+        eng.register_concept(load_builtin_spec("Web"), make_builtin_handle("Web"), bootstrap=True)
+        eng.register_concept(parse_concept(
+            "concept Float\npurpose\n    to float\nstate\n    xs: set ref\nactions\n"
+            "    go [ ... ] => [ ... ]\n        always floats\n"
+        ), Floater())
+        eng.register_syncs(parse_syncs(
+            'sync Drift when { Web/request: [ method: "float" ] => [] } then { Float/go: [] }'
+        ))
+        return eng
+
+    path = tmp_path / "run.log"
+    eng = engine()
+    eng.attach_log(path)
+    flow = run_flow(eng, {"method": "float"})
+    eng.close()
+    go = [r for r in eng.flow_records(flow) if r.name == "go"]
+    assert go[0].output == {"error": "Float/go returned floats are not valid values: 1.5"}
+    eng2 = engine()
+    eng2.recover_from(path, resume=False)
+    assert eng2.flow_records(flow) == eng.flow_records(flow)
+
+
 def test_rule_loop_hits_step_limit():
     eng = build_engine(rules=(), step_limit=25)
     eng.register_syncs(parse_syncs(LOOP_SYNCS))
@@ -253,6 +315,7 @@ def test_halted_flow_is_not_resumed(tmp_path, pending):
     eng2.register_syncs(parse_syncs(LOOP_SYNCS))
     eng2.recover_from(path)
     assert not eng2.queue
+    eng2.attach_log(path)
     eng2.run_to_quiescence()
     eng2.close()
     assert path.stat().st_size == size  # the halted flow was neither matched nor dispatched
@@ -405,6 +468,7 @@ def test_recover_finished_run_adds_nothing(tmp_path):
 
     eng2 = build_engine()
     assert eng2.recover_from(path) == "dev"
+    eng2.attach_log(path)
     eng2.run_to_quiescence()
     eng2.close()
     assert normalize_actions(eng2.actions()) == oracle
@@ -506,6 +570,7 @@ def _first_join(lines):
     pytest.param("then", lambda f: [dict(f["then"][0], flow="another-flow")], id="then-other-flow"),
     pytest.param("then", lambda f: [dict(f["then"][0], id=f["from"][0])], id="then-logged-id"),
     pytest.param("then", lambda f: [dict(f["then"][0], input=["a"])], id="then-input-list"),
+    pytest.param("then", lambda f: [dict(f["then"][0], extra=1)], id="then-extra-key"),
 ])
 def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
     lines = _registration_log(tmp_path / "run.log")
@@ -542,6 +607,7 @@ def _last_completion(lines):
     # the root line again, without its input: its id is completed already
     pytest.param(_root_line, lambda d: [d, {k: v for k, v in d.items() if k != "input"}], id="completed-id"),
     pytest.param(_root_line, lambda d: [d, dict(d, id=_UNLOGGED)], id="root-flow-in-use"),
+    pytest.param(_root_line, lambda d: [dict(d, note="x")], id="root-extra-key"),
     # fields of a type the engine never writes
     pytest.param(_root_line, lambda d: [dict(d, output=5)], id="output-int"),
     pytest.param(_root_line, lambda d: [dict(d, input=["a"])], id="input-list"),
@@ -702,6 +768,50 @@ def test_each_append_is_one_line(tmp_path):
     assert kinds.count("firing") + kinds.count("noop") == len(eng.fired)
 
 
+def test_recovery_leaves_a_torn_log_as_it_found_it(tmp_path):
+    lines = _registration_log(tmp_path / "run.log")
+    # the header, the root completion and the first firing, whose invocation
+    # is pending, then 7 bytes of the next line
+    path = tmp_path / "torn.log"
+    path.write_text("".join(line + "\n" for line in lines[:3]) + lines[3][:7])
+    before = path.read_bytes()
+    eng = build_engine()
+    with pytest.warns(RuntimeWarning, match="line 4: skipped 7 bytes"):
+        eng.recover_from(path)
+    assert path.read_bytes() == before
+    # the pending invocation is queued, for step to dispatch before any match
+    (pending,) = json.loads(lines[2])["then"]
+    assert list(eng.queue) == [pending["id"], json.loads(lines[1])["id"]]
+    eng.run_to_quiescence()
+    assert path.read_bytes() == before  # no log attached, nothing appended
+    assert eng.pending_matches() == []
+
+
+def test_attach_log_cuts_a_torn_line_it_was_not_recovered_from(tmp_path, monkeypatch):
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    eng.close()
+    data = path.read_bytes()
+    assert data.endswith((QUIET_LINE + "\n").encode())
+    path.write_bytes(data[:-7])  # inside the quiet mark
+    # a read may return fewer bytes than asked (a single pread stops near 2 GiB)
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: real_pread(fd, min(n, 64), offset))
+    eng2 = build_engine()
+    eng2.attach_log(path)
+    assert path.read_bytes() == data[: -len(QUIET_LINE) - 1]
+    run_flow(eng2, register_payload(name="bob", email="bob@example.org"))
+    eng2.close()
+    assert path.read_bytes().startswith(data[: -len(QUIET_LINE) - 1])
+    eng3 = build_engine()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eng3.recover_from(path, resume=False)
+    assert normalize_flows(eng3.actions()) == normalize_flows(eng.actions() + eng2.actions())
+
+
 def test_recover_finished_log_queues_nothing(tmp_path):
     path = tmp_path / "run.log"
     eng = build_engine(rules=ARTICLE_RULES)
@@ -753,6 +863,7 @@ def test_log_without_marks_recovers_the_same(tmp_path):
         size = log.stat().st_size
         eng2 = build_engine(rules=ARTICLE_RULES)
         eng2.recover_from(log)
+        eng2.attach_log(log)
         eng2.run_to_quiescence()
         eng2.close()
         # re-matching the unmarked log fires nothing: it appends one mark only
