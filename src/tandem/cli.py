@@ -9,19 +9,17 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .concepts import BUILTINS
-from .core import to_jsonable
+from .core import is_iri, to_jsonable
 from .engine import DEFAULT_PREFIX, Engine, EngineError, RecoveryError, normalize_flows
 from .gateway import Runtime, decode_payload, make_server, reply_parts
 from .speclang import SpecError, parse_concept
 from .synclang import SyncError, parse_syncs
 
 _DEFS = Path(__file__).resolve().parent / "defs"
-
-_KEYS = ("prefix", "version", "concepts", "syncs", "log", "bind", "step_limit", "bootstrap")
 
 
 class ConfigError(Exception):
@@ -48,13 +46,15 @@ def _resolve(base: Path, text: str) -> Path:
 
 
 def load_config(path) -> AppConfig:
-    """Read a key = value file. Lists are comma separated; paths resolve
-    relative to the config file, @builtin/ resolves to the shipped files."""
+    """Read a key = value file, one key per AppConfig field. Lists are comma
+    separated; paths resolve relative to the config file, @builtin/ resolves
+    to the shipped files. A value that cannot work is a ConfigError."""
     path = _resolve(Path.cwd(), str(path))
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    base = path.parent
-    values: dict[str, str] = {}
+    # each key's value is read as its default's type
+    kinds = {f.name: type(f.default) for f in fields(AppConfig)}
+    cfg = AppConfig()
     for n, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -63,35 +63,29 @@ def load_config(path) -> AppConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{n}: expected key = value")
-        if key not in _KEYS:
+        if key not in kinds:
             raise ConfigError(f"{path}:{n}: unknown key {key!r}")
-        values[key] = value
-
-    cfg = AppConfig()
-    if "prefix" in values:
-        cfg.prefix = values["prefix"]
-    if "version" in values:
-        cfg.version = values["version"]
-    if not cfg.version:
-        raise ConfigError("version must not be empty")
-    for key in ("concepts", "syncs"):
-        if key in values:
-            items = [s.strip() for s in values[key].split(",") if s.strip()]
-            setattr(cfg, key, tuple(_resolve(base, item) for item in items))
-    if "log" in values:
-        cfg.log = Path(values["log"])  # a run artifact: resolves against the cwd
-    if "bind" in values:
-        cfg.bind = values["bind"]
-    if "step_limit" in values:
-        cfg.step_limit = int(values["step_limit"])
-    if "bootstrap" in values:
-        cfg.bootstrap = values["bootstrap"]
+        if kinds[key] is tuple:
+            value = (_resolve(path.parent, s.strip()) for s in value.split(",") if s.strip())
+        try:
+            setattr(cfg, key, kinds[key](value))  # a log, a run artifact, resolves against the cwd
+        except ValueError:
+            raise ConfigError(f"{path}:{n}: {key} must be an integer, not {value!r}")
 
     if os.environ.get("TANDEM_LOG"):
         cfg.log = Path(os.environ["TANDEM_LOG"])
     if os.environ.get("TANDEM_BIND"):
         cfg.bind = os.environ["TANDEM_BIND"]
 
+    if not cfg.version:
+        raise ConfigError("version must not be empty")
+    if not is_iri(cfg.prefix):
+        raise ConfigError(f"prefix must be an IRI with a scheme: {cfg.prefix!r}")
+    if cfg.step_limit < 1:
+        raise ConfigError(f"step_limit must be a positive integer, not {cfg.step_limit}")
+    port = cfg.bind.rpartition(":")[2]
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise ConfigError(f"bind needs a port from 0 to 65535: {cfg.bind!r}")
     for p in cfg.concepts + cfg.syncs:
         if not p.exists():
             raise ConfigError(f"referenced file not found: {p}")

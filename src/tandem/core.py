@@ -198,6 +198,23 @@ class Firing(NamedTuple):
     targets: tuple
 
 
+@dataclass(frozen=True)
+class FlowTrace:
+    """Everything one flow did: its records, in log order, and the firings
+    among them. A firing's targets are the records it caused."""
+
+    flow: str
+    records: tuple
+    firings: tuple
+
+    @property
+    def root(self) -> ActionRecord | None:
+        return self.records[0] if self.records else None
+
+    def sync_labels(self) -> set:
+        return {f.sync for f in self.firings}
+
+
 def new_id() -> str:
     return "uuid://" + str(uuid.uuid4())
 

@@ -20,8 +20,8 @@ state only.
 
 Each rule is compiled once, when it is registered: its concept names are
 qualified to IRIs and it is filed under every (concept IRI, action) its when
-patterns name. Records and firings are indexed by flow, so matching a
-completion and tracing a flow cost as much as that flow, not the history.
+patterns name. Each flow's records and firings are held once, in one table
+of flows, so matching and tracing cost as much as the flow, not the history.
 
 Matching a completion has two stages, as in the alpha and beta networks of
 RETE. The alpha test visits a filed rule only if the completion alone
@@ -58,11 +58,13 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     UUID_RE,
     ActionRecord,
     Firing,
+    FlowTrace,
     canonical_value,
     completion_from_doc,
     firing_from_doc,
@@ -107,21 +109,11 @@ class RecoveryError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class FlowTrace:
-    """Everything one flow did: its records, in log order, and the firings
-    among them. A firing's targets are the records it caused."""
+class Flow(NamedTuple):
+    """One flow's records (id -> record) and firings (guard -> Firing), in log order."""
 
-    flow: str
-    records: tuple
-    firings: tuple
-
-    @property
-    def root(self) -> ActionRecord | None:
-        return self.records[0] if self.records else None
-
-    def sync_labels(self) -> set:
-        return {f.sync for f in self.firings}
+    records: dict
+    firings: dict
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,14 @@ class _Rule:
 
 
 _MISSING = object()
+_NO_FLOW = Flow({}, {})  # what the engine holds of a flow it never saw
 
+
+def _insert_firing(flow: Flow, sync: str, sources: tuple, invocations: list) -> None:
+    """Take in one firing of flow, as made or as read back from its log line."""
+    flow.firings[sync, sources] = Firing(sync, sources, tuple([inv.id for inv in invocations]))
+    for inv in invocations:
+        flow.records[inv.id] = inv
 
 def _match_fields(fields, data, frame):
     # subset semantics: every pattern field must be present and agree,
@@ -239,15 +238,11 @@ class Engine:
         self.namespaces: dict[str, Namespace] = {}
         self.bootstrap: str | None = None
         self.syncs: list[SyncDef] = []
-        self.records: dict[str, ActionRecord] = {}  # insertion order = log order
-        # per flow: its records (in self.records order) and its firings
-        self._by_flow: dict[str, dict[str, ActionRecord]] = {}
-        self._firings_by_flow: dict[str, list[Firing]] = {}
+        self.flows: dict[str, Flow] = {}  # flow token -> Flow, in the order the flows began
         # (concept iri, action) -> (rule, its (inputs, outputs) patterns on it),
         # in registration order
         self._triggers: dict[tuple, list[tuple]] = {}
-        self.fired: dict[tuple, Firing] = {}  # guard (rule, completion ids) -> firing
-        self.queue: deque = deque()
+        self.queue: deque = deque()  # records to match, or for step to dispatch
         self._by_iri: dict[str, str] = {}
         self._log = None
         self._lock = threading.RLock()
@@ -304,18 +299,21 @@ class Engine:
 
     def attach_log(self, path) -> None:
         """Append to the log at path from now on, a new one with its header
-        when empty, once the bytes after its last newline are cut off."""
-        with self._lock, open(path, "ab+") as log:
-            size = log.seek(0, os.SEEK_END)
+        when empty, once the bytes after its last newline are cut off. A log
+        attached before is closed first, so a failed attach leaves none."""
+        with self._lock:
+            self.close()
+            log = open(path, "a+", encoding="utf-8")  # one handle cuts, then writes
+            size = os.fstat(log.fileno()).st_size
             if size and os.pread(log.fileno(), 1, size - 1) != b"\n":
                 # rfind on a mapping reads back from the end, a page at a time
                 with mmap.mmap(log.fileno(), 0, access=mmap.ACCESS_READ) as data:
                     size = data.rfind(b"\n") + 1
                 log.truncate(size)
-            self._log = open(path, "a", encoding="utf-8")
             if size == 0:
-                self._log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
-                self._log.flush()
+                log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
+                log.flush()
+            self._log = log
 
     def close(self) -> None:
         with self._lock:
@@ -331,37 +329,24 @@ class Engine:
 
     # -------------------------------------------------------------- plumbing
 
-    def _insert_record(self, rec: ActionRecord) -> None:
-        # a completion replacing its invocation keeps the invocation's slot
-        self.records[rec.id] = rec
-        self._by_flow.setdefault(rec.flow, {})[rec.id] = rec
-
-    def _insert_firing(self, sync: str, sources: tuple, invocations: list) -> None:
-        """Take in one firing, as made or as read back from its log line."""
-        firing = Firing(sync, sources, tuple([inv.id for inv in invocations]))
-        self.fired[sync, sources] = firing
-        for inv in invocations:
-            self._insert_record(inv)
-        # its completions and invocations are all of one flow
-        self._firings_by_flow.setdefault(self.records[sources[0]].flow, []).append(firing)
-
-    def _check_firing(self, sync: str, sources: tuple, invocations: list) -> None:
-        """Refuse a logged firing unless the completions it joined were
-        logged before it, in the flow of its new invocations, and its guard
-        has not fired yet."""
+    def _check_firing(self, sync: str, sources: tuple, invocations: list, records: dict) -> Flow:
+        """The flow of a logged firing, refused unless the completions it joined
+        are in records, in its invocations' flow, and its guard has not fired yet."""
         flows = {inv.flow for inv in invocations}
         for cid in sources:
-            rec = self.records.get(cid)
+            rec = records.get(cid)
             if rec is None or rec.output is None:
                 raise ValueError("a firing line names a completion not logged before it")
             flows.add(rec.flow)
         if len(flows) != 1:
             raise ValueError("a firing line spans more than one flow")
+        flow = self.flows[flows.pop()]
         ids = {inv.id for inv in invocations}
         # keys().isdisjoint walks ids; set.isdisjoint(dict) would walk the whole history
-        repeats = (sync, sources) in self.fired or not self.records.keys().isdisjoint(ids)
+        repeats = (sync, sources) in flow.firings or not records.keys().isdisjoint(ids)
         if repeats or len(ids) < len(invocations):
             raise ValueError("a firing line repeats a logged firing or record")
+        return flow
 
     def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
         keys = set(given)
@@ -402,6 +387,7 @@ class Engine:
             # a value the log cannot read back is refused before it is logged
             inputs = canonical_value(dict(inputs))
             flow = new_flow()
+            self.flows[flow] = Flow({}, {})
             self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, inputs))
             return flow
 
@@ -424,11 +410,11 @@ class Engine:
         """Frames where the trigger fills one when pattern and same-flow
         completions fill the rest; already-fired keys are excluded. A key
         can come twice, from two frames; _fire's guard fires it once."""
-        flow_recs = self._by_flow[trigger.flow].values()
+        flow_recs, firings = self.flows[trigger.flow]
         pats = rule.when
         # each pattern's candidates: the flow's completions on its (concept, action)
         cands = [
-            [r for r in flow_recs if r.concept == iri and r.name == action and r.output is not None]
+            [r for r in flow_recs.values() if r.concept == iri and r.name == action and r.output is not None]
             for iri, action, _inputs, _outputs in pats
         ]
         name = rule.sync.name
@@ -441,7 +427,7 @@ class Engine:
             if i == len(pats):
                 if hit:
                     key = (name, tuple(sorted(used)))
-                    if key not in self.fired:
+                    if key not in firings:
                         results.append((frame, key))
                 continue
             _iri, _action, inputs, outputs = pats[i]
@@ -460,7 +446,7 @@ class Engine:
         return results
 
     def _fire(self, rule: _Rule, frame: dict, key: tuple, flow: str) -> list:
-        if key in self.fired:
+        if key in self.flows[flow].firings:
             return []
         sync = rule.sync
         frames = [frame]
@@ -471,20 +457,20 @@ class Engine:
         invocations = [ActionRecord(new_id(), iri, action, flow, _fill_fields(fields, fr))
                        for fr in frames for iri, action, fields in rule.then]
         self._append(firing_to_json(sync.name, key[1], invocations))
-        self._insert_firing(sync.name, key[1], invocations)
+        _insert_firing(self.flows[flow], sync.name, key[1], invocations)
         return invocations
 
     def _dispatch(self, inv: ActionRecord) -> None:
-        # an invocation the engine holds is logged, input and all, on its firing's line
-        logged = inv.id in self.records
         try:
             out = canonical_value(self._run_handle(inv))
         except ValueError as exc:  # a value the log could not read back
             out = {"error": f"{self._by_iri[inv.concept]}/{inv.name} returned {exc}"}
         done = inv._replace(output=out)
-        self._append(record_to_json(done, with_input=not logged))
-        self._insert_record(done)
-        self.queue.append(done.id)
+        records = self.flows[done.flow].records
+        # a flow's first record is logged with its input, the others on their firing's line
+        self._append(record_to_json(done, with_input=not records))
+        records[done.id] = done  # a completion keeps its invocation's slot
+        self.queue.append(done)
 
     def step(self) -> bool:
         """Process one queued record: match a completion against the rules,
@@ -492,7 +478,7 @@ class Engine:
         with self._lock:
             if not self.queue:
                 return False
-            trigger = self.records[self.queue.popleft()]
+            trigger = self.queue.popleft()
             if not trigger.is_completion:
                 self._dispatch(trigger)
                 return True
@@ -515,7 +501,7 @@ class Engine:
         per_flow: dict[str, int] = {}
         while True:
             with self._lock:
-                flow = self.records[self.queue[0]].flow if self.queue else None
+                flow = self.queue[0].flow if self.queue else None
                 if not self.step():
                     if steps:
                         # nothing logged so far is left to match
@@ -527,7 +513,7 @@ class Engine:
                 with self._lock:
                     # the looping flow is dropped here and on resume, so it
                     # does not halt every later run of this engine or its log
-                    self.queue = deque(rid for rid in self.queue if self.records[rid].flow != flow)
+                    self.queue = deque(rec for rec in self.queue if rec.flow != flow)
                     self._append(json.dumps({"halt": flow}, separators=(",", ":")))
                 raise EngineError(
                     f"no quiescence after {self.step_limit} steps, a rule loop is likely"
@@ -541,7 +527,7 @@ class Engine:
         """
         with self._lock:
             out = []
-            for rec in self.records.values():
+            for rec in self.actions():
                 if not rec.is_completion:
                     continue
                 for rule in self._visits(rec):
@@ -555,8 +541,9 @@ class Engine:
         """Replay a log into this engine. The log is only read.
 
         Concept state is rebuilt by re-running each completed action's
-        handle; the logged output stays authoritative. Firing guards come
-        back from the firing lines, so nothing already fired fires twice.
+        handle; the logged output stays authoritative. Each flow's records
+        and firings come back into flows in log order, firing guards with
+        them, so nothing already fired fires twice.
         A completion line without an input completes the invocation its
         firing line logged, with that invocation's input. A line the writer
         could not have made fails with RecoveryError, and so does a header
@@ -564,15 +551,15 @@ class Engine:
         tag the log was written under (None when empty).
 
         Resume queues the work the log leaves unfinished, except that of
-        halted flows: every invocation that never completed, for step to
-        dispatch, then the completions after the last quiet mark, to match
-        again. A caller that goes on writing the log then attaches it.
+        halted flows: every invocation that never completed, in log order,
+        for step to dispatch, then the completions after the last quiet mark,
+        to match again. A caller that goes on writing the log attaches it.
 
         resume=False queues nothing: the history is loaded for inspection.
         """
         version = None
-        completions: list[str] = []  # since the last quiet mark
-        maybe_pending: list[str] = []
+        records: dict[str, ActionRecord] = {}  # id -> record in log order, for lines that name ids
+        completions: list[ActionRecord] = []  # since the last quiet mark
         halted: set = set()
         with self._lock, (open(path, "rb") if os.path.exists(path) else io.BytesIO()) as log:
             for pos, line in enumerate(log, start=1):
@@ -600,48 +587,49 @@ class Engine:
                 try:
                     if keys == {"sync", "from", "then"}:
                         sync, sources, invocations = firing_from_doc(doc)
-                        self._check_firing(sync, sources, invocations)
-                        self._insert_firing(sync, sources, invocations)
-                        maybe_pending.extend(inv.id for inv in invocations)
+                        flow = self._check_firing(sync, sources, invocations, records)
+                        _insert_firing(flow, sync, sources, invocations)
+                        records.update((inv.id, inv) for inv in invocations)
                         continue
                     if "input" not in keys:
-                        rec = completion_from_doc(doc, self.records)
+                        rec = completion_from_doc(doc, records)
                     else:
                         rec = record_from_doc(doc, completed=True)
                         # a line that holds its input is a flow's first completion
-                        if rec.id in self.records or rec.flow in self._by_flow:
+                        if rec.id in records or rec.flow in self.flows:
                             raise ValueError("a record line with its input starts a new flow under a new id")
+                        self.flows[rec.flow] = Flow({}, {})
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
-                self._insert_record(rec)
+                records[rec.id] = self.flows[rec.flow].records[rec.id] = rec
                 self._run_handle(rec)  # rebuilds state; the logged output stands
-                completions.append(rec.id)
+                completions.append(rec)
             if resume:
                 # invocations complete before anything is matched; the guards
                 # make the completions that already fired inert
-                pending = [rid for rid in maybe_pending if not self.records[rid].is_completion]
-                self.queue.extend(rid for rid in pending + completions
-                                  if self.records[rid].flow not in halted)
+                pending = [rec for rec in records.values() if not rec.is_completion]
+                self.queue.extend(rec for rec in pending + completions if rec.flow not in halted)
         return version
 
     # ------------------------------------------------------------ inspection
 
     def actions(self) -> list[ActionRecord]:
+        """Every record, flow by flow in the order the flows began."""
         with self._lock:
-            return list(self.records.values())
+            return [rec for flow in self.flows.values() for rec in flow.records.values()]
 
     def flow_records(self, flow: str) -> list[ActionRecord]:
         with self._lock:
-            return list(self._by_flow.get(flow, {}).values())
+            return list(self.flows.get(flow, _NO_FLOW).records.values())
 
     def root_records(self) -> list[ActionRecord]:
         """Completions nothing caused: the external submissions, each the
         first record of its flow, in log order."""
         with self._lock:
-            return [next(iter(recs.values())) for recs in self._by_flow.values()]
+            return [next(iter(flow.records.values())) for flow in self.flows.values()]
 
     def trace_flow(self, flow: str) -> FlowTrace:
         """The provenance DAG of one flow: records, firings, and rule labels."""
         with self._lock:
-            return FlowTrace(flow, tuple(self._by_flow.get(flow, {}).values()),
-                             tuple(self._firings_by_flow.get(flow, ())))
+            held = self.flows.get(flow, _NO_FLOW)
+            return FlowTrace(flow, tuple(held.records.values()), tuple(held.firings.values()))

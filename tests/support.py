@@ -35,6 +35,11 @@ def build_engine(
     return eng
 
 
+def all_firings(eng: Engine) -> list:
+    """Every firing, flow by flow, as trace_flow hands them out."""
+    return [f for flow in eng.flows for f in eng.trace_flow(flow).firings]
+
+
 def register_payload(name="alice", email="alice@example.org", password="opensesame1"):
     return {"method": "register", "username": name, "email": email, "password": password}
 

@@ -14,6 +14,7 @@ from support import (
     ARTICLE_RULES,
     FIXED_RULES,
     ORIGINAL_RULES,
+    all_firings,
     build_engine,
     register_payload,
     respond_body,
@@ -310,7 +311,7 @@ def test_c07_interleaved_flows_never_mix():
         eng.run_to_quiescence()
 
         by_id = {r.id: r for r in eng.actions()}
-        for firing in eng.fired.values():
+        for firing in all_firings(eng):
             for target_id in firing.targets:
                 for source_id in firing.sources:
                     assert by_id[source_id].flow == by_id[target_id].flow, f"seed {seed}"

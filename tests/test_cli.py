@@ -94,6 +94,26 @@ def test_env_overrides_log_and_bind(tmp_path, monkeypatch):
     assert cfg.bind == "0.0.0.0:1234"
 
 
+@pytest.mark.parametrize("overrides, env, command", [
+    ({"step_limit": "abc"}, None, "lint"),
+    ({"step_limit": "0"}, None, "lint"),
+    ({"bind": "127.0.0.1:notaport"}, None, "run"),
+    ({}, "127.0.0.1:notaport", "run"),
+    ({"bind": "127.0.0.1:65536"}, None, "run"),
+    ({"prefix": "notaniri"}, None, "lint"),
+], ids=["step_limit-abc", "step_limit-0", "bind", "TANDEM_BIND", "bind-65536", "prefix"])
+def test_bad_config_value_is_one_config_error_line(tmp_path, monkeypatch, capsys, overrides, env, command):
+    path = write_config(tmp_path, **overrides)
+    if env is not None:
+        monkeypatch.setenv("TANDEM_BIND", env)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-c", str(path), command])
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"config error: [^\n]+\n", err), err
+
+
 def test_assemble_builds_working_engine(tmp_path):
     eng = assemble(load_config(write_config(tmp_path)))
     assert isinstance(eng, Engine)

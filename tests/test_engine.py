@@ -17,6 +17,7 @@ from support import (
     FIXED_RULES,
     LOOP_SYNCS,
     ORIGINAL_RULES,
+    all_firings,
     build_engine,
     register_payload,
     respond_body,
@@ -82,7 +83,7 @@ def test_default_profile_caused_by_register_completion_only():
     eng = build_engine()
     flow = run_flow(eng, register_payload())
     register = [r for r in eng.flow_records(flow) if short(r) == "User/register"]
-    sources = {cid for f in eng.fired.values() if f.sync == "DefaultProfile" for cid in f.sources}
+    sources = {cid for f in all_firings(eng) if f.sync == "DefaultProfile" for cid in f.sources}
     assert sources == {register[0].id}
 
 
@@ -348,7 +349,7 @@ def test_cascade_on_commentless_article_records_noop():
     f_del = run_flow(eng, {"method": "delete_article", "slug": "intro-to-sync"})
     deletes = [r for r in eng.flow_records(f_del) if short(r) == "Comment/delete"]
     assert deletes == []
-    noops = [f for f in eng.fired.values() if f.sync == "CascadeDeleteComments" and not f.targets]
+    noops = [f for f in all_firings(eng) if f.sync == "CascadeDeleteComments" and not f.targets]
     assert len(noops) == 1
     assert eng.pending_matches() == []
 
@@ -388,7 +389,7 @@ def test_quiescent_engine_has_no_pending_matches():
 def test_every_invocation_has_provenance():
     eng = build_engine()
     flow = run_flow(eng, register_payload())
-    targets = {rid for f in eng.fired.values() for rid in f.targets}
+    targets = {rid for f in all_firings(eng) for rid in f.targets}
     for rec in eng.flow_records(flow):
         if short(rec) == "Web/request":
             assert rec.id not in targets
@@ -400,10 +401,11 @@ def test_edges_never_cross_flows():
     eng = build_engine()
     run_flow(eng, register_payload())
     run_flow(eng, register_payload(name="bob", email="bob@example.org"))
-    for f in eng.fired.values():
+    by_id = {r.id: r for r in eng.actions()}
+    for f in all_firings(eng):
         for to_id in f.targets:
             for from_id in f.sources:
-                assert eng.records[from_id].flow == eng.records[to_id].flow
+                assert by_id[from_id].flow == by_id[to_id].flow
 
 
 def test_interleaved_flows_stay_isolated():
@@ -475,8 +477,8 @@ def test_recover_finished_run_adds_nothing(tmp_path):
     assert path.stat().st_size == size  # nothing new was appended
     assert eng2.pending_matches() == []
     # firings and guards come back from the firing lines as the writer held them
-    assert list(eng2.fired.values()) == list(eng.fired.values())
-    assert eng2.fired == eng.fired
+    assert all_firings(eng2) == all_firings(eng)
+    assert _flow_table(eng2) == _flow_table(eng)
 
 
 def test_recover_mid_flow_prefix_completes_the_flow(tmp_path):
@@ -765,7 +767,7 @@ def test_each_append_is_one_line(tmp_path):
             kinds.append("completion")
     assert set(kinds) == {"completion", "firing", "noop", "quiet"}
     # one firing line per guard, so the line count follows the firings
-    assert kinds.count("firing") + kinds.count("noop") == len(eng.fired)
+    assert kinds.count("firing") + kinds.count("noop") == len(all_firings(eng))
 
 
 def test_recovery_leaves_a_torn_log_as_it_found_it(tmp_path):
@@ -781,7 +783,7 @@ def test_recovery_leaves_a_torn_log_as_it_found_it(tmp_path):
     assert path.read_bytes() == before
     # the pending invocation is queued, for step to dispatch before any match
     (pending,) = json.loads(lines[2])["then"]
-    assert list(eng.queue) == [pending["id"], json.loads(lines[1])["id"]]
+    assert [rec.id for rec in eng.queue] == [pending["id"], json.loads(lines[1])["id"]]
     eng.run_to_quiescence()
     assert path.read_bytes() == before  # no log attached, nothing appended
     assert eng.pending_matches() == []
@@ -810,6 +812,22 @@ def test_attach_log_cuts_a_torn_line_it_was_not_recovered_from(tmp_path, monkeyp
         warnings.simplefilter("error")
         eng3.recover_from(path, resume=False)
     assert normalize_flows(eng3.actions()) == normalize_flows(eng.actions() + eng2.actions())
+
+
+def test_a_second_attach_closes_the_log_held_before(tmp_path):
+    eng = build_engine()
+    eng.attach_log(tmp_path / "a.log")
+    eng.attach_log(tmp_path / "b.log")
+    # an a.log handle left open would warn here, and the warning filter fails the test
+    gc.collect()
+    header = (tmp_path / "a.log").read_bytes()
+    run_flow(eng, register_payload())
+    eng.close()
+    assert (tmp_path / "a.log").read_bytes() == header
+    assert header.count(b"\n") == 1
+    b_lines = (tmp_path / "b.log").read_text().splitlines()
+    assert b_lines[0] == header.decode().rstrip("\n") and b_lines[-1] == QUIET_LINE
+    assert len(b_lines) > 2
 
 
 def test_recover_finished_log_queues_nothing(tmp_path):
@@ -843,7 +861,7 @@ def test_log_cut_inside_last_flow_queues_only_that_flow(tmp_path):
 
     eng2 = build_engine(rules=ARTICLE_RULES)
     eng2.recover_from(trunc)
-    assert list(eng2.queue) == [r.id for r in eng2.flow_records(last) if r.is_completion]
+    assert [rec.id for rec in eng2.queue] == [r.id for r in eng2.flow_records(last) if r.is_completion]
     assert len(eng2.queue) == 3
     eng2.run_to_quiescence()
     eng2.close()
@@ -890,13 +908,19 @@ def _mixed_history(eng):
     run_flow(eng, {"method": "delete_article", "slug": "quiet"})
 
 
+def _flow_table(eng):
+    """Engine.flows with every mapping spelled out in order, firings included."""
+    return [(flow, list(held.records.items()), list(held.firings.items()))
+            for flow, held in eng.flows.items()]
+
+
 def _assert_index_matches_scan(eng):
     flows = dict.fromkeys(r.flow for r in eng.actions())
     for flow in flows:
         scanned = [r for r in eng.actions() if r.flow == flow]
         assert eng.flow_records(flow) == scanned
         ids = {r.id for r in scanned}
-        scanned_firings = tuple(f for f in eng.fired.values() if ids.issuperset(f.sources))
+        scanned_firings = tuple(f for f in all_firings(eng) if ids.issuperset(f.sources))
         assert eng.trace_flow(flow).firings == scanned_firings
     return flows
 
@@ -918,6 +942,7 @@ def test_recovered_index_equals_the_writers(tmp_path, resume):
     for flow in flows:
         assert eng2.flow_records(flow) == eng.flow_records(flow)
         assert eng2.trace_flow(flow) == eng.trace_flow(flow)
+    assert _flow_table(eng2) == _flow_table(eng)
 
 
 def test_store_holds_concept_state_only(tmp_path):
@@ -1078,7 +1103,7 @@ def test_flows_leave_no_cyclic_garbage():
 
 def _reference_when(eng, sync, trigger):
     """The matcher before indexing: scans every record, qualifies per visit."""
-    flow_recs = [r for r in eng.records.values() if r.flow == trigger.flow and r.is_completion]
+    flow_recs = [r for r in eng.actions() if r.flow == trigger.flow and r.is_completion]
     pats = sync.when
     results = []
     seen = set()
@@ -1088,7 +1113,7 @@ def _reference_when(eng, sync, trigger):
             if not hit:
                 return
             key = (sync.name, tuple(sorted(used)))
-            if key in eng.fired:
+            if key in eng.flows[trigger.flow].firings:
                 return
             mark = (key, frame_key(frame))
             if mark in seen:
@@ -1118,7 +1143,7 @@ def _reference_when(eng, sync, trigger):
 def _reference_pending(eng):
     return [
         (sync.name, key)
-        for rec in eng.records.values() if rec.is_completion
+        for rec in eng.actions() if rec.is_completion
         for sync in eng.syncs
         for _frame, key in _reference_when(eng, sync, rec)
     ]
@@ -1131,7 +1156,7 @@ class ReferenceEngine(Engine):
         with self._lock:
             if not self.queue:
                 return False
-            trigger = self.records[self.queue.popleft()]
+            trigger = self.queue.popleft()
             for sync in self.syncs:
                 for frame, key in _reference_when(self, sync, trigger):
                     for inv in self._fire(self._compile(sync), frame, key, trigger.flow):
