@@ -9,6 +9,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -143,9 +144,19 @@ def _lint_or_die(eng: Engine) -> None:
         raise SystemExit(1)
 
 
+def _recover(eng: Engine, path, resume: bool = True) -> str | None:
+    """Engine.recover_from, each warning printed as one `warning: ...` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        version = eng.recover_from(path, resume)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return version
+
+
 def _open_log(eng: Engine, cfg: AppConfig) -> None:
     """Resume the configured log, or start it, and finish its unfinished work."""
-    eng.recover_from(cfg.log)
+    _recover(eng, cfg.log)
     eng.attach_log(cfg.log)
     eng.run_to_quiescence()
 
@@ -217,7 +228,7 @@ def cmd_replay(args) -> int:
     log_path = Path(args.log) if args.log else cfg.log
     recovered = assemble(cfg)
     # resumed in memory, with no log attached: replay leaves the log as it found it
-    log_version = recovered.recover_from(log_path)
+    log_version = _recover(recovered, log_path)
     recovered.run_to_quiescence()
 
     oracle = assemble(cfg)
@@ -239,7 +250,7 @@ def cmd_trace(args) -> int:
     cfg = load_config(args.config)
     log_path = Path(args.log) if args.log else cfg.log
     eng = assemble(cfg)
-    eng.recover_from(log_path, resume=False)
+    _recover(eng, log_path, resume=False)
     trace = eng.trace_flow(args.flow)
     print(render_trace(trace), end="")
     return 0 if trace.records else 1

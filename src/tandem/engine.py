@@ -19,9 +19,12 @@ held. The log is the only record of history; the quad store holds concept
 state only.
 
 Each rule is compiled once, when it is registered: its concept names are
-qualified to IRIs and it is filed under every (concept IRI, action) its when
-patterns name. Each flow's records and firings are held once, in one table
-of flows, so matching and tracing cost as much as the flow, not the history.
+qualified to IRIs, each where pattern is put on its concept's graph and
+predicate IRIs, so the store sees only IRIs, and the rule is filed under
+every (concept IRI, action) its when patterns name. One table, concepts,
+holds each concept by IRI with its overloads. Each flow's records and
+firings are held once, in one table of flows, so matching and tracing cost
+as much as the flow, not the history.
 
 Matching a completion has two stages, as in the alpha and beta networks of
 RETE. The alpha test visits a filed rule only if the completion alone
@@ -36,16 +39,18 @@ are encoded by one shared encoder in core, without copying the values.
 Two control lines mark what the log already proves finished. When
 run_to_quiescence has stepped at least one completion and finds the queue
 empty, it appends a quiet mark, {"quiet":true}: every completion logged
-before it has been matched. When it gives up on a flow for exceeding
-step_limit, it takes that flow's records off the queue and appends a
-halt mark, {"halt":"<flow>"}. Resume queues the invocations that never
-completed, then the completions after the last quiet mark, except those of
-halted flows, so a restart re-matches the unfinished tail instead of the
-whole history (redo from the last point the log shows complete, as in
-ARIES). A log without marks re-matches every completion, which the firing
-guards make inert. Recovery only reads the log: bytes after its last
-newline, a write a crash cut short, are skipped with a RuntimeWarning, and
-attach_log, the one writer, cuts them off before it appends.
+before it has been matched. When it gives up on a flow, because the flow
+exceeds step_limit or a rule's where clause fails at fire time (a FILTER on
+an unbound variable, an unbound ?_eachthen), it takes that flow's records
+off the queue and appends a halt mark, {"halt":"<flow>"}. Resume queues the
+invocations that never completed, then the completions after the last
+quiet mark, except those of halted flows, so a restart re-matches the
+unfinished tail instead of the whole history (redo from the last point the
+log shows complete, as in ARIES). A log without marks re-matches every
+completion, which the firing guards make inert. Recovery only reads the
+log: bytes after its last newline, a write a crash cut short, are skipped
+with a RuntimeWarning, and attach_log, the one writer, cuts them off before
+it appends.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .core import (
     UUID_RE,
@@ -79,9 +84,15 @@ from .core import (
 )
 from .speclang import ConceptSpec, validate_against
 from .store import (
+    ConceptPattern,
     GraphView,
+    GroupingError,
     Namespace,
+    NotExists,
+    OptionalBlock,
     QuadStore,
+    Query,
+    QueryError,
     group_by_eachthen,
     has_eachthen,
     is_var,
@@ -122,6 +133,8 @@ class _Rule:
 
     sync: SyncDef
     when: tuple  # ((concept iri, action, inputs, outputs), ...)
+    where: Query | None  # its patterns on graph and predicate IRIs
+    eachthen: bool  # where binds ?_eachthen: frames are grouped by it
     then: tuple  # ((concept iri, action, fields), ...)
 
 
@@ -234,8 +247,9 @@ class Engine:
         self.version = version
         self.step_limit = step_limit
         self.store = QuadStore()
-        self.concepts: dict[str, tuple[ConceptSpec, object]] = {}
-        self.namespaces: dict[str, Namespace] = {}
+        # concept iri -> (spec, handle, overloads), the overloads built at
+        # registration: action -> [(frozenset of input names, open input), ...]
+        self.concepts: dict[str, tuple[ConceptSpec, object, dict]] = {}
         self.bootstrap: str | None = None
         self.syncs: list[SyncDef] = []
         self.flows: dict[str, Flow] = {}  # flow token -> Flow, in the order the flows began
@@ -243,7 +257,6 @@ class Engine:
         # in registration order
         self._triggers: dict[tuple, list[tuple]] = {}
         self.queue: deque = deque()  # records to match, or for step to dispatch
-        self._by_iri: dict[str, str] = {}
         self._log = None
         self._lock = threading.RLock()
 
@@ -251,16 +264,16 @@ class Engine:
 
     def register_concept(self, spec: ConceptSpec, handle, bootstrap: bool = False) -> None:
         with self._lock:
-            if spec.name in self.concepts:
+            ns = self._namespace(spec.name)
+            if ns.base in self.concepts:
                 raise EngineError(f"concept already registered: {spec.name}")
             validate_against(spec, self.prefix)
-            iri = qualify(self.prefix, spec.name)
-            graph = f"app://graphs/{self.version}/{spec.name}"
-            ns = Namespace(graph, iri)
-            handle.attach(GraphView(self.store, graph), ns)
-            self.concepts[spec.name] = (spec, handle)
-            self.namespaces[spec.name] = ns
-            self._by_iri[iri] = spec.name
+            handle.attach(GraphView(self.store, ns.graph), ns)
+            overloads: dict = {}
+            for sig in spec.actions:
+                declared = frozenset(f for f, _ in sig.inputs)
+                overloads.setdefault(sig.name, []).append((declared, sig.open_input))
+            self.concepts[ns.base] = (spec, handle, overloads)
             if bootstrap:
                 if self.bootstrap is not None:
                     raise EngineError(f"bootstrap concept already chosen: {self.bootstrap}")
@@ -278,12 +291,28 @@ class Engine:
                 pats = tuple((p[2], p[3]) for p in rule.when if p[:2] == trigger)
                 self._triggers.setdefault(trigger, []).append((rule, pats))
 
+    def _namespace(self, name: str) -> Namespace:
+        """Where a concept's state lives, registered or not: its graph, and its IRI
+        as the base of its predicates."""
+        return Namespace(f"app://graphs/{self.version}/{name}", qualify(self.prefix, name))
+
     def _compile(self, sync: SyncDef) -> _Rule:
         return _Rule(
             sync,
             tuple((qualify(self.prefix, p.concept), p.action, p.inputs, p.outputs) for p in sync.when),
+            None if sync.where is None else Query(tuple(map(self._compile_clause, sync.where.clauses))),
+            has_eachthen(sync.where),
             tuple((qualify(self.prefix, t.concept), t.action, t.fields) for t in sync.then),
         )
+
+    def _compile_clause(self, clause):
+        """A where clause with each concept pattern in it on its graph and predicate IRIs."""
+        if isinstance(clause, ConceptPattern):
+            ns = self._namespace(clause.concept)
+            return ConceptPattern(ns.graph, tuple((s, ns.predicate(p), o) for s, p, o in clause.triples))
+        if isinstance(clause, (OptionalBlock, NotExists)):
+            return type(clause)(tuple(map(self._compile_clause, clause.clauses)))
+        return clause
 
     def register_syncs(self, syncs) -> None:
         for sync in syncs:
@@ -292,7 +321,7 @@ class Engine:
     def lint(self) -> list[str]:
         """Static diagnostics for the registered ruleset. Empty means clean."""
         with self._lock:
-            specs = [spec for spec, _ in self.concepts.values()]
+            specs = [spec for spec, _, _ in self.concepts.values()]
             return check_syncs(self.syncs, specs)
 
     # ------------------------------------------------------------ durability
@@ -348,20 +377,15 @@ class Engine:
             raise ValueError("a firing line repeats a logged firing or record")
         return flow
 
-    def _accepts(self, spec: ConceptSpec, action: str, given: dict) -> bool:
-        keys = set(given)
-        for sig in spec.overloads(action):
-            declared = {f for f, _ in sig.inputs}
-            if declared <= keys and (sig.open_input or keys <= declared):
-                return True
-        return False
-
     def _run_handle(self, rec: ActionRecord) -> dict:
-        name = self._by_iri.get(rec.concept)
-        if name is None:
+        concept = self.concepts.get(rec.concept)
+        if concept is None:
             return {"error": f"unknown concept: {rec.concept}"}
-        spec, handle = self.concepts[name]
-        if not self._accepts(spec, rec.name, rec.input):
+        spec, handle, overloads = concept
+        name = spec.name
+        keys = rec.input.keys()
+        if not any(declared <= keys and (open_input or keys <= declared)
+                   for declared, open_input in overloads.get(rec.name, ())):
             return {"error": f"no matching overload: {name}/{rec.name}"}
         try:
             out = handle.invoke(rec.name, rec.input, rec.id)
@@ -450,21 +474,33 @@ class Engine:
             return []
         sync = rule.sync
         frames = [frame]
-        if sync.where is not None:
-            frames = self.store.evaluate(sync.where, seed=frame, namespaces=self.namespaces)
-            if has_eachthen(sync.where):
-                frames = group_by_eachthen(frames)
+        if rule.where is not None:
+            try:
+                frames = self.store.evaluate(rule.where, seed=frame)
+                if rule.eachthen:
+                    frames = group_by_eachthen(frames)
+            except (QueryError, GroupingError) as exc:
+                self._halt(flow, f"rule {sync.name}: {exc}")
         invocations = [ActionRecord(new_id(), iri, action, flow, _fill_fields(fields, fr))
                        for fr in frames for iri, action, fields in rule.then]
         self._append(firing_to_json(sync.name, key[1], invocations))
         _insert_firing(self.flows[flow], sync.name, key[1], invocations)
         return invocations
 
+    def _halt(self, flow: str, reason: str) -> NoReturn:
+        """Take flow's records off the queue, log a halt mark, raise EngineError.
+        The flow is dropped here and on resume, so it halts no later run."""
+        with self._lock:
+            self.queue = deque(rec for rec in self.queue if rec.flow != flow)
+            self._append(json.dumps({"halt": flow}, separators=(",", ":")))
+        raise EngineError(reason)
+
     def _dispatch(self, inv: ActionRecord) -> None:
         try:
             out = canonical_value(self._run_handle(inv))
         except ValueError as exc:  # a value the log could not read back
-            out = {"error": f"{self._by_iri[inv.concept]}/{inv.name} returned {exc}"}
+            spec = self.concepts[inv.concept][0]
+            out = {"error": f"{spec.name}/{inv.name} returned {exc}"}
         done = inv._replace(output=out)
         records = self.flows[done.flow].records
         # a flow's first record is logged with its input, the others on their firing's line
@@ -494,8 +530,9 @@ class Engine:
         A call that stepped anything ends by logging a quiet mark.
         step_limit bounds the steps of each flow, not of the call, so a long
         backlog or a recovered history is not taken for a rule loop. A flow
-        that exceeds it leaves the queue, a halt mark is logged for it, and
-        EngineError is raised.
+        that exceeds it, or whose rule's where clause fails, halts: it
+        leaves the queue, a halt mark is logged for it, and EngineError is
+        raised.
         """
         steps = 0
         per_flow: dict[str, int] = {}
@@ -510,14 +547,7 @@ class Engine:
             steps += 1
             per_flow[flow] = per_flow.get(flow, 0) + 1
             if per_flow[flow] > self.step_limit:
-                with self._lock:
-                    # the looping flow is dropped here and on resume, so it
-                    # does not halt every later run of this engine or its log
-                    self.queue = deque(rec for rec in self.queue if rec.flow != flow)
-                    self._append(json.dumps({"halt": flow}, separators=(",", ":")))
-                raise EngineError(
-                    f"no quiescence after {self.step_limit} steps, a rule loop is likely"
-                )
+                self._halt(flow, f"no quiescence after {self.step_limit} steps, a rule loop is likely")
 
     def pending_matches(self) -> list:
         """Every (rule name, guard) a fresh matching pass would fire now.

@@ -2,18 +2,18 @@
 
 Queries are lists of clauses applied left to right over a set of frames
 (variable bindings): concept patterns, OPTIONAL blocks, BIND expressions,
-comparison filters, and NOT-EXISTS guards. Concept patterns are resolved
-against a namespace table so a rule can say `User: { ?u name: ?n }` without
-knowing graph IRIs. Results are deduplicated and sorted so a query
-over the same store always returns the same frame list.
+comparison filters, and NOT-EXISTS guards. A rule says `User: { ?u name: ?n }`
+without knowing graph IRIs; the engine compiles each pattern once, when it
+registers the rule, to its concept's graph IRI and predicate IRIs, so the
+store sees only IRIs. Results are deduplicated and sorted so a query over the
+same store always returns the same frame list.
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 
-from tandem.core import NIL, Nil, Quad, Ref, new_id, value_key, values_equal
+from tandem.core import Nil, Quad, Ref, new_id, value_key, values_equal
 
 
 class QueryError(Exception):
@@ -50,8 +50,10 @@ class Namespace:
 
 @dataclass(frozen=True)
 class ConceptPattern:
+    # as parsed, a concept name and (subject term, property name, object
+    # term) triples; compiled, its graph IRI and (subject, predicate IRI, object)
     concept: str
-    triples: tuple  # (subject term, property name, object term)
+    triples: tuple
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,6 @@ class QuadStore:
     def __len__(self) -> int:
         return self._count
 
-    def graphs(self) -> list[str]:
-        with self._lock:
-            return sorted(g for g, subs in self._spo.items() if any(any(ps.values()) for ps in subs.values()))
-
     def quads(self, graph: str | None = None) -> list[Quad]:
         with self._lock:
             out = []
@@ -178,10 +176,7 @@ class QuadStore:
     def match(self, graph: str, subject: str | None = None, predicate: str | None = None, obj=None):
         """Concrete-term lookup; None means wildcard. Returns matching quads."""
         with self._lock:
-            out = []
-            for q in self._iter_matches(graph, subject, predicate, obj):
-                out.append(q)
-            return out
+            return list(self._iter_matches(graph, subject, predicate, obj))
 
     def _iter_matches(self, graph, subject, predicate, obj):
         subs = self._spo.get(graph, {})
@@ -213,17 +208,15 @@ class QuadStore:
 
     # ------------------------------------------------------------ queries
 
-    def evaluate(self, query: Query, seed: dict | None = None, namespaces: dict | None = None) -> list[dict]:
-        """Every frame extending the seed that satisfies the query clauses.
+    def evaluate(self, query: Query, seed: dict | None = None) -> list[dict]:
+        """Every frame extending the seed that satisfies the compiled query.
 
         The seed may bind any subset of the query's variables. The result is
         deduplicated and sorted by bound values, so evaluation order never
         shows through.
         """
-        frames = [dict(seed)] if seed else [{}]
         with self._lock:
-            for clause in query.clauses:
-                frames = self._apply(clause, frames, namespaces or {})
+            frames = self._extend(query.clauses, dict(seed) if seed else {})
         seen = set()
         out = []
         for f in frames:
@@ -234,28 +227,24 @@ class QuadStore:
         out.sort(key=frame_key)
         return out
 
-    def _apply(self, clause, frames, namespaces):
+    def _extend(self, clauses, frame) -> list[dict]:
+        """The frames extending frame that satisfy clauses, [] once none is left."""
+        frames = [frame]
+        for clause in clauses:
+            frames = self._apply(clause, frames)
+            if not frames:
+                break
+        return frames
+
+    def _apply(self, clause, frames):
         if isinstance(clause, ConceptPattern):
-            return self._apply_pattern(clause, frames, namespaces)
+            for s_term, pred, o_term in clause.triples:
+                frames = self._match_triple(clause.concept, s_term, pred, o_term, frames)
+            return frames
         if isinstance(clause, OptionalBlock):
-            out = []
-            for f in frames:
-                ext = [f]
-                for inner in clause.clauses:
-                    ext = self._apply(inner, ext, namespaces)
-                out.extend(ext if ext else [f])
-            return out
+            return [g for f in frames for g in (self._extend(clause.clauses, f) or [f])]
         if isinstance(clause, NotExists):
-            out = []
-            for f in frames:
-                ext = [f]
-                for inner in clause.clauses:
-                    ext = self._apply(inner, ext, namespaces)
-                    if not ext:
-                        break
-                if not ext:
-                    out.append(f)
-            return out
+            return [f for f in frames if not self._extend(clause.clauses, f)]
         if isinstance(clause, Bind):
             out = []
             for f in frames:
@@ -273,16 +262,6 @@ class QuadStore:
         if isinstance(clause, Compare):
             return [f for f in frames if self._test(clause, f)]
         raise QueryError(f"unknown clause type: {type(clause).__name__}")
-
-    def _apply_pattern(self, pat, frames, namespaces):
-        ns = namespaces.get(pat.concept)
-        if ns is None:
-            raise QueryError(f"unknown concept namespace: {pat.concept}")
-        for s_term, prop, o_term in pat.triples:
-            frames = self._match_triple(ns.graph, s_term, ns.predicate(prop), o_term, frames)
-            if not frames:
-                return []
-        return frames
 
     def _match_triple(self, graph, s_term, pred, o_term, frames):
         out = []
@@ -365,8 +344,8 @@ def _as_subject(value) -> str | None:
     return None
 
 
-def group_by_eachthen(frames: list[dict], var: str = EACHTHEN) -> list[dict]:
-    """Collapse frames into one frame per distinct value of the grouping var.
+def group_by_eachthen(frames: list[dict]) -> list[dict]:
+    """Collapse frames into one frame per distinct value of ?_eachthen.
 
     Within a group, a variable with one distinct value stays scalar; several
     distinct values become a sorted, deduplicated list. Variables bound in no
@@ -377,9 +356,9 @@ def group_by_eachthen(frames: list[dict], var: str = EACHTHEN) -> list[dict]:
     groups: dict = {}
     order = []
     for f in frames:
-        if var not in f:
-            raise GroupingError(f"grouping variable {var} unbound in a frame")
-        k = value_key(f[var])
+        if EACHTHEN not in f:
+            raise GroupingError(f"grouping variable {EACHTHEN} unbound in a frame")
+        k = value_key(f[EACHTHEN])
         if k not in groups:
             groups[k] = []
             order.append(k)
@@ -411,10 +390,6 @@ class GraphView:
         self._store = store
         self._graph = graph
 
-    @property
-    def graph(self) -> str:
-        return self._graph
-
     def add(self, subject: str, predicate: str, obj) -> None:
         self._store.insert([Quad(subject, predicate, obj, self._graph)])
 
@@ -441,24 +416,3 @@ class GraphView:
 
     def has(self, subject: str | None = None, predicate: str | None = None, obj=None) -> bool:
         return bool(self._store.match(self._graph, subject, predicate, obj))
-
-
-def _dump_term(value) -> str:
-    if isinstance(value, Ref):
-        return f"<{value.iri}>"
-    if value is NIL:
-        return "rdf:nil"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    return str(value)
-
-
-def dump(store: QuadStore, graph: str | None = None) -> str:
-    """Snapshot as sorted quad lines: subject predicate object graph."""
-    lines = sorted(
-        f"<{q.subject}> <{q.predicate}> {_dump_term(q.object)} <{q.graph}> ."
-        for q in store.quads(graph)
-    )
-    return "".join(line + "\n" for line in lines)

@@ -15,6 +15,19 @@ LOOP_SYNCS = (
     'sync Kickoff when { Web/request: [ method: "loop" ] => [] } then { Web/format: [ type: "echo" ] }'
 )
 
+# where clauses that lint clean but raise at fire time: error -> (clause, message)
+BOOM_WHERE = {
+    "QueryError": ('FILTER ( ?zz = "a" )', "unbound variable in filter: ?zz"),
+    "GroupingError": ("BIND ( COALESCE ( ?zz ) AS ?_eachthen )",
+                      "grouping variable ?_eachthen unbound in a frame"),
+}
+
+
+def boom_sync(where: str) -> str:
+    """A rule on "boom" requests whose where clause is `where`."""
+    return ('sync Boom when { Web/request: [ method: "boom" ] => [ request: ?r ] } '
+            f"where {{ {where} }} then {{ Web/respond: [ request: ?r ] }}")
+
 
 def sync_text(stem: str) -> str:
     return (DEFS / f"{stem}.sync").read_text()

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
-import warnings
 from pathlib import Path
 
 import pytest
@@ -205,15 +204,13 @@ def test_replay_verdict_on_truncated_log(tmp_path, capsys):
     n = len(lines) // 2
     half = "".join(line + "\n" for line in lines[:n])
     truncated = tmp_path / "truncated.log"
-    torn = f"line {n + 1}: skipped 9 bytes after the last newline"
+    torn = f"warning: line {n + 1}: skipped 9 bytes after the last newline"
     # cut between two lines, then inside the next one
     for cut, warned in ((half, []), (half + lines[n][:9], [torn])):
         truncated.write_text(cut)
         before = truncated.read_bytes()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, _ = run_main(capsys, "-c", str(path), "replay", str(truncated))
-        assert [str(w.message) for w in caught] == warned
+        code, out, err = run_main(capsys, "-c", str(path), "replay", str(truncated))
+        assert err.splitlines() == warned
         assert code == 0
         assert "equal after recovery" in out
         assert truncated.read_bytes() == before  # replay resumes in memory
@@ -309,7 +306,8 @@ def test_request_with_deeply_nested_payload_is_refused(tmp_path, capsys, depth):
 def start_run(path, cwd):
     """`tandem run` in its own process; returns the process and its base URL."""
     src = str(Path(tandem.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, TANDEM_BIND="127.0.0.1:0", PYTHONUNBUFFERED="1",
+    # faulthandler dumps every thread's stack on SIGABRT, for a run that hangs
+    env = dict(os.environ, TANDEM_BIND="127.0.0.1:0", PYTHONUNBUFFERED="1", PYTHONFAULTHANDLER="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     server = subprocess.Popen(
         [sys.executable, "-m", "tandem.cli", "-c", str(path), "run"],
@@ -375,7 +373,9 @@ def test_run_exits_on_sigint_with_an_idle_connection_open(tmp_path, capsys):
         try:
             code = server.wait(timeout=5)
         except subprocess.TimeoutExpired:
-            pytest.fail("tandem run still running 5 s after SIGINT")
+            server.send_signal(signal.SIGABRT)
+            out, _ = server.communicate(timeout=30)
+            pytest.fail(f"tandem run still running 5 s after SIGINT; its output and stacks:\n{out}")
     finally:
         conn.close()
         stop_run(server)

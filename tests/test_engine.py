@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from support import (
     ARTICLE_RULES,
+    BOOM_WHERE,
     FIXED_RULES,
     LOOP_SYNCS,
     ORIGINAL_RULES,
     all_firings,
+    boom_sync,
     build_engine,
     register_payload,
     respond_body,
@@ -27,7 +29,7 @@ from support import (
     seed_article,
 )
 from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
-from tandem.core import NIL, Ref, qualify, to_jsonable
+from tandem.core import NIL, Firing, Ref, qualify, to_jsonable
 from tandem.engine import (
     LOG_FORMAT,
     QUIET_LINE,
@@ -38,7 +40,7 @@ from tandem.engine import (
     normalize_actions,
     normalize_flows,
 )
-from tandem.store import dump, frame_key
+from tandem.store import frame_key
 from tandem.speclang import parse_concept
 from tandem.synclang import parse_syncs
 
@@ -321,6 +323,80 @@ def test_halted_flow_is_not_resumed(tmp_path, pending):
     eng2.close()
     assert path.stat().st_size == size  # the halted flow was neither matched nor dispatched
     assert normalize_actions(eng2.actions()) == normalize_actions(loaded.actions())
+
+
+def _boom_engine(where: str) -> Engine:
+    eng = build_engine()
+    eng.register_syncs(parse_syncs(boom_sync(where)))
+    assert eng.lint() == []
+    return eng
+
+
+@pytest.mark.parametrize("error", sorted(BOOM_WHERE))
+def test_where_clause_that_raises_halts_its_flow(tmp_path, error):
+    where, reason = BOOM_WHERE[error]
+    path = tmp_path / "run.log"
+    eng = _boom_engine(where)
+    eng.attach_log(path)
+    flow = eng.submit_external("Web", "request", {"method": "boom"})
+    with pytest.raises(EngineError) as exc:
+        eng.run_to_quiescence()
+    assert str(exc.value) == f"rule Boom: {reason}"
+    assert not eng.queue
+    halts = [line for line in path.read_text().splitlines() if '"halt"' in line]
+    assert halts == [json.dumps({"halt": flow}, separators=(",", ":"))]
+    later = run_flow(eng, register_payload())
+    assert len(responds(eng, later)) == 1
+    eng.close()
+    # the log is not poisoned: a restart resumes it and runs clean
+    eng2 = _boom_engine(where)
+    eng2.recover_from(path)
+    eng2.attach_log(path)
+    eng2.run_to_quiescence()
+    eng2.close()
+    assert normalize_flows(eng2.actions()) == normalize_flows(eng.actions())
+
+
+def test_log_left_without_a_halt_mark_halts_the_flow_once(tmp_path):
+    # a build that let the where clause's error escape logged the request
+    # and no mark: the first resume halts the flow, and the next runs clean
+    path = tmp_path / "run.log"
+    where, _ = BOOM_WHERE["QueryError"]
+    eng = _boom_engine(where)
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    eng.submit_external("Web", "request", {"method": "boom"})
+    with pytest.raises(EngineError):
+        eng.run_to_quiescence()
+    eng.close()
+    lines = path.read_text().splitlines()
+    assert lines[-1].startswith('{"halt"')
+    path.write_text("".join(line + "\n" for line in lines[:-1]))
+    for raises in (True, False):
+        eng2 = _boom_engine(where)
+        eng2.recover_from(path)
+        eng2.attach_log(path)
+        try:
+            if raises:
+                with pytest.raises(EngineError, match="^rule Boom: "):
+                    eng2.run_to_quiescence()
+            else:
+                assert eng2.run_to_quiescence() == 0
+        finally:
+            eng2.close()
+
+
+def test_pattern_on_an_unregistered_concept_finds_no_state():
+    # the rule compiles and fires as a no-op; lint is what refuses it
+    eng = build_engine(rules=())
+    eng.register_syncs(parse_syncs(
+        'sync Ghost when { Web/request: [ method: "ghost" ] => [ request: ?r ] } '
+        "where { Nope: { ?x name: ?y } } then { Web/respond: [ request: ?r ] }"
+    ))
+    assert eng.lint() == ["Ghost: unknown concept 'Nope' in where"]
+    flow = run_flow(eng, {"method": "ghost"})
+    assert eng.trace_flow(flow).firings == (Firing("Ghost", (eng.flow_records(flow)[0].id,), ()),)
+    assert responds(eng, flow) == []
 
 
 # ----------------------------------------------------------------- cascade
@@ -952,11 +1028,12 @@ def test_store_holds_concept_state_only(tmp_path):
     _mixed_history(eng)
     eng.close()
     assert len(eng.store) > 0
-    assert set(eng.store.graphs()) <= {ns.graph for ns in eng.namespaces.values()}
+    graphs = {handle.ns.graph for _, handle, _ in eng.concepts.values()}
+    assert {q.graph for q in eng.store.quads()} <= graphs
     # history lives in the log alone: replaying it rebuilds the same state
     eng2 = build_engine(rules=ARTICLE_RULES)
     eng2.recover_from(path, resume=False)
-    assert dump(eng2.store) == dump(eng.store)
+    assert eng2.store.quads() == eng.store.quads()
 
 
 def test_resume_completes_pending_invocations_in_place(tmp_path):

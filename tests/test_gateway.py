@@ -12,7 +12,8 @@ import urllib.error
 import pytest
 
 from support import (
-    ARTICLE_RULES, LOOP_SYNCS, build_engine, register_payload, respond_body, responds,
+    ARTICLE_RULES, BOOM_WHERE, LOOP_SYNCS, boom_sync, build_engine, register_payload, respond_body,
+    responds,
 )
 from tandem.engine import EngineError, normalize_flows
 from tandem.gateway import (
@@ -120,6 +121,29 @@ def test_runtime_serves_again_after_a_halt(tmp_path):
         status, doc = post(base, "/api/register", register_payload())
     assert status == 200
     assert doc["user"]["username"] == "alice"
+
+
+
+def test_where_clause_that_raises_gets_503_and_the_connection_serves_on():
+    where, reason = BOOM_WHERE["QueryError"]
+    eng = build_engine()
+    eng.register_syncs(parse_syncs(boom_sync(where)))
+    with serving(eng) as base:
+        conn = http.client.HTTPConnection("127.0.0.1", int(base.rsplit(":", 1)[1]), timeout=10)
+        try:
+            conn.request("POST", "/api/boom", body=b"{}", headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 503
+            assert json.loads(resp.read()) == {"error": f"engine halted: rule Boom: {reason}"}
+            sock = conn.sock
+            conn.request("POST", "/api/register", body=json.dumps(register_payload()).encode(),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["user"]["username"] == "alice"
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 @pytest.mark.parametrize("body", [

@@ -1,4 +1,8 @@
-"""Quad store indexing, query evaluation, and eachthen grouping."""
+"""Quad store indexing, query evaluation, and eachthen grouping.
+
+The store evaluates where clauses as the engine compiles them: each concept
+pattern on its graph IRI and predicate IRIs. `pattern` builds one here.
+"""
 import random
 
 import pytest
@@ -22,7 +26,6 @@ from tandem.store import (
     Var,
     frame_key,
     group_by_eachthen,
-    dump,
     has_eachthen,
 )
 
@@ -36,6 +39,14 @@ NS = {
     "Comment": Namespace(COMMENT_G, qualify(PREFIX, "Comment")),
     "Request": Namespace(REQUEST_G, qualify(PREFIX, "Request")),
 }
+
+
+def compiled(ns, triples) -> ConceptPattern:
+    return ConceptPattern(ns.graph, tuple((s, ns.predicate(p), o) for s, p, o in triples))
+
+
+def pattern(concept, *triples) -> ConceptPattern:
+    return compiled(NS[concept], triples)
 
 
 def user_quad(subject, prop, value):
@@ -87,8 +98,8 @@ def test_quad_objects_must_be_atoms():
 def test_single_frame_for_unique_name():
     s = QuadStore()
     s.insert([user_quad("uuid://u1", "name", "xavier"), user_quad("uuid://u2", "name", "yolanda")])
-    q = Query((ConceptPattern("User", ((Var("?u"), "name", "xavier"),)),))
-    frames = s.evaluate(q, namespaces=NS)
+    q = Query((pattern("User", (Var("?u"), "name", "xavier")),))
+    frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1")}]
 
 
@@ -103,17 +114,10 @@ def test_three_comments_oracle():
     # independent oracle: enumerate raw quads and filter by hand
     oracle = {q.subject for q in s.quads(COMMENT_G) if q.object == post}
     assert oracle == expected
-    q = Query((ConceptPattern("Comment", ((Var("?c"), "target", Var("?post")),)),))
-    frames = s.evaluate(q, {"?post": post}, NS)
+    q = Query((pattern("Comment", (Var("?c"), "target", Var("?post"))),))
+    frames = s.evaluate(q, {"?post": post})
     assert {f["?c"].iri for f in frames} == expected
     assert len(frames) == 3
-
-
-def test_unknown_concept_namespace_is_an_error():
-    s = QuadStore()
-    q = Query((ConceptPattern("Nope", ((Var("?x"), "name", Var("?y")),)),))
-    with pytest.raises(QueryError):
-        s.evaluate(q, namespaces=NS)
 
 
 def test_join_across_patterns():
@@ -125,8 +129,8 @@ def test_join_across_patterns():
             user_quad("uuid://u2", "name", "bob"),
         ]
     )
-    q = Query((ConceptPattern("User", ((Var("?u"), "name", Var("?n")), (Var("?u"), "email", Var("?e")))),))
-    frames = s.evaluate(q, namespaces=NS)
+    q = Query((pattern("User", (Var("?u"), "name", Var("?n")), (Var("?u"), "email", Var("?e"))),))
+    frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice", "?e": "a@x.io"}]
 
 
@@ -143,15 +147,15 @@ def test_completion_guard_pattern():
     ])
     pending = Query(
         (
-            ConceptPattern("Request", ((Var("?a"), "input", Var("?in")),)),
-            NotExists((ConceptPattern("Request", ((Var("?a"), "output", Var("?out")),)),)),
+            pattern("Request", (Var("?a"), "input", Var("?in"))),
+            NotExists((pattern("Request", (Var("?a"), "output", Var("?out"))),)),
         )
     )
-    assert s.evaluate(pending, namespaces=NS) == []
+    assert s.evaluate(pending) == []
     # without the output quad the same query finds it
     s2 = QuadStore()
     s2.insert([request_quad("uuid://r1", "input", Ref("uuid://u1"))])
-    assert s2.evaluate(pending, namespaces=NS) == [{"?a": Ref("uuid://r1"), "?in": Ref("uuid://u1")}]
+    assert s2.evaluate(pending) == [{"?a": Ref("uuid://r1"), "?in": Ref("uuid://u1")}]
 
 
 def test_optional_leaves_frame_when_unmatched():
@@ -159,14 +163,14 @@ def test_optional_leaves_frame_when_unmatched():
     s.insert([user_quad("uuid://u1", "name", "alice")])
     q = Query(
         (
-            ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)),
-            OptionalBlock((ConceptPattern("User", ((Var("?u"), "email", Var("?e")),)),)),
+            pattern("User", (Var("?u"), "name", Var("?n"))),
+            OptionalBlock((pattern("User", (Var("?u"), "email", Var("?e"))),)),
         )
     )
-    frames = s.evaluate(q, namespaces=NS)
+    frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice"}]
     s.insert([user_quad("uuid://u1", "email", "a@x.io")])
-    frames = s.evaluate(q, namespaces=NS)
+    frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice", "?e": "a@x.io"}]
 
 
@@ -175,20 +179,20 @@ def test_coalesce_defaults_unbound_to_nil():
     s.insert([user_quad("uuid://u1", "name", "alice")])
     q = Query(
         (
-            ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)),
-            OptionalBlock((ConceptPattern("User", ((Var("?u"), "email", Var("?e")),)),)),
+            pattern("User", (Var("?u"), "name", Var("?n"))),
+            OptionalBlock((pattern("User", (Var("?u"), "email", Var("?e"))),)),
             Bind(FuncCall("coalesce", (Var("?e"), NIL)), "?mail"),
         )
     )
-    frames = s.evaluate(q, namespaces=NS)
+    frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice", "?mail": NIL}]
 
 
 def test_bind_uuid_mints_one_ref_per_frame():
     s = QuadStore()
     s.insert([user_quad("uuid://u1", "name", "a"), user_quad("uuid://u2", "name", "b")])
-    q = Query((ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)), Bind(FuncCall("uuid"), "?fresh")))
-    frames = s.evaluate(q, namespaces=NS)
+    q = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind(FuncCall("uuid"), "?fresh")))
+    frames = s.evaluate(q)
     assert len(frames) == 2
     minted = {f["?fresh"].iri for f in frames}
     assert len(minted) == 2
@@ -198,34 +202,34 @@ def test_bind_uuid_mints_one_ref_per_frame():
 def test_bind_conflicting_rebind_kills_frame():
     s = QuadStore()
     s.insert([user_quad("uuid://u1", "name", "alice")])
-    q = Query((ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)), Bind("bob", "?n")))
-    assert s.evaluate(q, namespaces=NS) == []
-    q2 = Query((ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)), Bind("alice", "?n")))
-    assert len(s.evaluate(q2, namespaces=NS)) == 1
+    q = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind("bob", "?n")))
+    assert s.evaluate(q) == []
+    q2 = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind("alice", "?n")))
+    assert len(s.evaluate(q2)) == 1
 
 
 def test_filter_comparisons():
     s = QuadStore()
     s.insert([user_quad("uuid://u1", "karma", 5), user_quad("uuid://u2", "karma", 50)])
-    q = Query((ConceptPattern("User", ((Var("?u"), "karma", Var("?k")),)), Compare(Var("?k"), ">=", 10)))
-    frames = s.evaluate(q, namespaces=NS)
+    q = Query((pattern("User", (Var("?u"), "karma", Var("?k"))), Compare(Var("?k"), ">=", 10)))
+    frames = s.evaluate(q)
     assert [f["?u"] for f in frames] == [Ref("uuid://u2")]
 
 
 def test_filter_unbound_variable_is_an_error():
     s = QuadStore()
     s.insert([user_quad("uuid://u1", "karma", 5)])
-    q = Query((ConceptPattern("User", ((Var("?u"), "karma", Var("?k")),)), Compare(Var("?zzz"), ">", 1)))
+    q = Query((pattern("User", (Var("?u"), "karma", Var("?k"))), Compare(Var("?zzz"), ">", 1)))
     with pytest.raises(QueryError):
-        s.evaluate(q, namespaces=NS)
+        s.evaluate(q)
 
 
 def test_results_are_sorted_and_deduplicated():
     s = QuadStore()
     for i in (3, 1, 2):
         s.insert([user_quad(f"uuid://u{i}", "name", f"n{i}")])
-    q = Query((ConceptPattern("User", ((Var("?u"), "name", Var("?n")),)),))
-    frames = s.evaluate(q, namespaces=NS)
+    q = Query((pattern("User", (Var("?u"), "name", Var("?n"))),))
+    frames = s.evaluate(q)
     assert frames == sorted(frames, key=frame_key)
     assert [f["?n"] for f in frames] == ["n1", "n2", "n3"]
 
@@ -299,8 +303,8 @@ def test_group_preserves_partition(frames):
 SUBJECTS = [f"uuid://s{i}" for i in range(4)]
 G = "app://g"
 PROPS = ["p0", "p1", "p2"]
-PROP_NS = {"C": Namespace(G, G)}
-PREDS = [PROP_NS["C"].predicate(p) for p in PROPS]
+PROP_NS = Namespace(G, G)
+PREDS = [PROP_NS.predicate(p) for p in PROPS]
 
 quad_st = st.builds(
     Quad,
@@ -315,7 +319,7 @@ subj_term_st = st.one_of(st.sampled_from(var_pool).map(Var), st.sampled_from(SUB
 triple_st = st.tuples(subj_term_st, st.sampled_from(PROPS), term_st)
 # mandatory patterns only: OPTIONAL and NOT-EXISTS are deliberately non-monotone
 pattern_query_st = st.lists(triple_st, min_size=1, max_size=3).map(
-    lambda ts: Query((ConceptPattern("C", tuple(ts)),))
+    lambda ts: Query((compiled(PROP_NS, ts),))
 )
 
 
@@ -324,9 +328,9 @@ pattern_query_st = st.lists(triple_st, min_size=1, max_size=3).map(
 def test_monotonicity_without_negation(quads, extra, query):
     s = QuadStore()
     s.insert(quads)
-    before = {frame_key(f) for f in s.evaluate(query, namespaces=PROP_NS)}
+    before = {frame_key(f) for f in s.evaluate(query)}
     s.insert(extra)
-    after = {frame_key(f) for f in s.evaluate(query, namespaces=PROP_NS)}
+    after = {frame_key(f) for f in s.evaluate(query)}
     assert before <= after
 
 
@@ -335,7 +339,7 @@ def test_monotonicity_without_negation(quads, extra, query):
 def test_seed_consistency(quads, query, data):
     s = QuadStore()
     s.insert(quads)
-    unseeded = s.evaluate(query, namespaces=PROP_NS)
+    unseeded = s.evaluate(query)
     if not unseeded:
         return
     pick = data.draw(st.sampled_from(unseeded))
@@ -343,7 +347,7 @@ def test_seed_consistency(quads, query, data):
         return
     var = data.draw(st.sampled_from(sorted(pick)))
     seed = {var: pick[var]}
-    seeded = s.evaluate(query, seed, namespaces=PROP_NS)
+    seeded = s.evaluate(query, seed)
     filtered = [f for f in unseeded if frame_key({**f, **seed}) == frame_key(f)]
     assert [frame_key(f) for f in seeded] == [frame_key(f) for f in filtered]
 
@@ -357,7 +361,7 @@ def test_insert_order_does_not_matter(quads, query, seed_int):
     random.Random(seed_int).shuffle(shuffled)
     s2 = QuadStore()
     s2.insert(shuffled)
-    assert s1.evaluate(query, namespaces=PROP_NS) == s2.evaluate(query, namespaces=PROP_NS)
+    assert s1.evaluate(query) == s2.evaluate(query)
 
 
 # ---------------------------------------------------------------- graph view
@@ -390,20 +394,3 @@ def test_graph_view_subjects_sorted():
     v.remove("uuid://u0")
     assert not v.has("uuid://u0", "app://member")
 
-
-def test_dump_lines_are_sorted_and_typed():
-    s = QuadStore()
-    s.insert([
-        Quad("uuid://a", "p://name", "ada", "g://one"),
-        Quad("uuid://a", "p://flag", True, "g://one"),
-        Quad("uuid://a", "p://n", 7, "g://two"),
-        Quad("uuid://a", "p://ref", Ref("uuid://b"), "g://two"),
-        Quad("uuid://a", "p://tags", NIL, "g://two"),
-    ])
-    text = dump(s)
-    assert text.splitlines() == sorted(text.splitlines())
-    assert '<uuid://a> <p://name> "ada" <g://one> .' in text
-    assert "<uuid://a> <p://flag> true <g://one> ." in text
-    assert "<uuid://a> <p://ref> <uuid://b> <g://two> ." in text
-    assert "<uuid://a> <p://tags> rdf:nil <g://two> ." in text
-    assert dump(s, "g://one").count("\n") == 2
