@@ -59,7 +59,6 @@ import io
 import json
 import mmap
 import os
-import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -235,7 +234,11 @@ def _read_doc(line: bytes, pos: int) -> dict:
 
 
 class Engine:
-    """Owns the store, the ruleset, the work queue, and the append-only log."""
+    """Owns the store, the ruleset, the work queue, and the append-only log.
+
+    An engine, its store with it, has one caller at a time; threads that
+    share one go through a Runtime, which admits one request at a time.
+    """
 
     def __init__(
         self,
@@ -257,39 +260,37 @@ class Engine:
         # in registration order
         self._triggers: dict[tuple, list[tuple]] = {}
         self.queue: deque = deque()  # records to match, or for step to dispatch
+        self.halted: set = set()  # flows given up on, live or in the log: never matched again
         self._log = None
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------- assembly
 
     def register_concept(self, spec: ConceptSpec, handle, bootstrap: bool = False) -> None:
-        with self._lock:
-            ns = self._namespace(spec.name)
-            if ns.base in self.concepts:
-                raise EngineError(f"concept already registered: {spec.name}")
-            validate_against(spec, self.prefix)
-            handle.attach(GraphView(self.store, ns.graph), ns)
-            overloads: dict = {}
-            for sig in spec.actions:
-                declared = frozenset(f for f, _ in sig.inputs)
-                overloads.setdefault(sig.name, []).append((declared, sig.open_input))
-            self.concepts[ns.base] = (spec, handle, overloads)
-            if bootstrap:
-                if self.bootstrap is not None:
-                    raise EngineError(f"bootstrap concept already chosen: {self.bootstrap}")
-                self.bootstrap = spec.name
+        ns = self._namespace(spec.name)
+        if ns.base in self.concepts:
+            raise EngineError(f"concept already registered: {spec.name}")
+        validate_against(spec, self.prefix)
+        handle.attach(GraphView(self.store, ns.graph), ns)
+        overloads: dict = {}
+        for sig in spec.actions:
+            declared = frozenset(f for f, _ in sig.inputs)
+            overloads.setdefault(sig.name, []).append((declared, sig.open_input))
+        self.concepts[ns.base] = (spec, handle, overloads)
+        if bootstrap:
+            if self.bootstrap is not None:
+                raise EngineError(f"bootstrap concept already chosen: {self.bootstrap}")
+            self.bootstrap = spec.name
 
     def register_sync(self, sync: SyncDef) -> None:
-        with self._lock:
-            if any(s.name == sync.name for s in self.syncs):
-                raise EngineError(f"sync already registered: {sync.name}")
-            rule = self._compile(sync)
-            self.syncs.append(sync)
-            # a rule with no pattern on a completion's (concept, action) can
-            # never count that completion as its trigger, so it is not visited
-            for trigger in dict.fromkeys(pat[:2] for pat in rule.when):
-                pats = tuple((p[2], p[3]) for p in rule.when if p[:2] == trigger)
-                self._triggers.setdefault(trigger, []).append((rule, pats))
+        if any(s.name == sync.name for s in self.syncs):
+            raise EngineError(f"sync already registered: {sync.name}")
+        rule = self._compile(sync)
+        self.syncs.append(sync)
+        # a rule with no pattern on a completion's (concept, action) can
+        # never count that completion as its trigger, so it is not visited
+        for trigger in dict.fromkeys(pat[:2] for pat in rule.when):
+            pats = tuple((p[2], p[3]) for p in rule.when if p[:2] == trigger)
+            self._triggers.setdefault(trigger, []).append((rule, pats))
 
     def _namespace(self, name: str) -> Namespace:
         """Where a concept's state lives, registered or not: its graph, and its IRI
@@ -320,9 +321,8 @@ class Engine:
 
     def lint(self) -> list[str]:
         """Static diagnostics for the registered ruleset. Empty means clean."""
-        with self._lock:
-            specs = [spec for spec, _, _ in self.concepts.values()]
-            return check_syncs(self.syncs, specs)
+        specs = [spec for spec, _, _ in self.concepts.values()]
+        return check_syncs(self.syncs, specs)
 
     # ------------------------------------------------------------ durability
 
@@ -330,25 +330,23 @@ class Engine:
         """Append to the log at path from now on, a new one with its header
         when empty, once the bytes after its last newline are cut off. A log
         attached before is closed first, so a failed attach leaves none."""
-        with self._lock:
-            self.close()
-            log = open(path, "a+", encoding="utf-8")  # one handle cuts, then writes
-            size = os.fstat(log.fileno()).st_size
-            if size and os.pread(log.fileno(), 1, size - 1) != b"\n":
-                # rfind on a mapping reads back from the end, a page at a time
-                with mmap.mmap(log.fileno(), 0, access=mmap.ACCESS_READ) as data:
-                    size = data.rfind(b"\n") + 1
-                log.truncate(size)
-            if size == 0:
-                log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
-                log.flush()
-            self._log = log
+        self.close()
+        log = open(path, "a+", encoding="utf-8")  # one handle cuts, then writes
+        size = os.fstat(log.fileno()).st_size
+        if size and os.pread(log.fileno(), 1, size - 1) != b"\n":
+            # rfind on a mapping reads back from the end, a page at a time
+            with mmap.mmap(log.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                size = data.rfind(b"\n") + 1
+            log.truncate(size)
+        if size == 0:
+            log.write(json.dumps({"version": self.version, "format": LOG_FORMAT}) + "\n")
+            log.flush()
+        self._log = log
 
     def close(self) -> None:
-        with self._lock:
-            if self._log is not None:
-                self._log.close()
-                self._log = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def _append(self, line: str) -> None:
         # one write + flush per line: every line is a whole recovery unit
@@ -403,17 +401,16 @@ class Engine:
         Only the bootstrap concept takes external submissions; everything
         else is reachable solely through rule firings.
         """
-        with self._lock:
-            if self.bootstrap is None or concept != self.bootstrap:
-                raise EngineError(
-                    f"external submissions enter through the bootstrap concept, not {concept}"
-                )
-            # a value the log cannot read back is refused before it is logged
-            inputs = canonical_value(dict(inputs))
-            flow = new_flow()
-            self.flows[flow] = Flow({}, {})
-            self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, inputs))
-            return flow
+        if self.bootstrap is None or concept != self.bootstrap:
+            raise EngineError(
+                f"external submissions enter through the bootstrap concept, not {concept}"
+            )
+        # a value the log cannot read back is refused before it is logged
+        inputs = canonical_value(dict(inputs))
+        flow = new_flow()
+        self.flows[flow] = Flow({}, {})
+        self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, inputs))
+        return flow
 
     def _visits(self, trigger: ActionRecord):
         """The rules a completion can fire, in registration order.
@@ -490,9 +487,9 @@ class Engine:
     def _halt(self, flow: str, reason: str) -> NoReturn:
         """Take flow's records off the queue, log a halt mark, raise EngineError.
         The flow is dropped here and on resume, so it halts no later run."""
-        with self._lock:
-            self.queue = deque(rec for rec in self.queue if rec.flow != flow)
-            self._append(json.dumps({"halt": flow}, separators=(",", ":")))
+        self.halted.add(flow)
+        self.queue = deque(rec for rec in self.queue if rec.flow != flow)
+        self._append(json.dumps({"halt": flow}, separators=(",", ":")))
         raise EngineError(reason)
 
     def _dispatch(self, inv: ActionRecord) -> None:
@@ -511,18 +508,17 @@ class Engine:
     def step(self) -> bool:
         """Process one queued record: match a completion against the rules,
         or dispatch an invocation recovery queued. False when it is empty."""
-        with self._lock:
-            if not self.queue:
-                return False
-            trigger = self.queue.popleft()
-            if not trigger.is_completion:
-                self._dispatch(trigger)
-                return True
-            for rule in self._visits(trigger):
-                for frame, key in self._match_when(rule, trigger):
-                    for inv in self._fire(rule, frame, key, trigger.flow):
-                        self._dispatch(inv)
+        if not self.queue:
+            return False
+        trigger = self.queue.popleft()
+        if not trigger.is_completion:
+            self._dispatch(trigger)
             return True
+        for rule in self._visits(trigger):
+            for frame, key in self._match_when(rule, trigger):
+                for inv in self._fire(rule, frame, key, trigger.flow):
+                    self._dispatch(inv)
+        return True
 
     def run_to_quiescence(self) -> int:
         """Step until the queue is empty; returns the number of steps.
@@ -537,33 +533,32 @@ class Engine:
         steps = 0
         per_flow: dict[str, int] = {}
         while True:
-            with self._lock:
-                flow = self.queue[0].flow if self.queue else None
-                if not self.step():
-                    if steps:
-                        # nothing logged so far is left to match
-                        self._append(QUIET_LINE)
-                    return steps
+            flow = self.queue[0].flow if self.queue else None
+            if not self.step():
+                if steps:
+                    # nothing logged so far is left to match
+                    self._append(QUIET_LINE)
+                return steps
             steps += 1
             per_flow[flow] = per_flow.get(flow, 0) + 1
             if per_flow[flow] > self.step_limit:
                 self._halt(flow, f"no quiescence after {self.step_limit} steps, a rule loop is likely")
 
     def pending_matches(self) -> list:
-        """Every (rule name, guard) a fresh matching pass would fire now.
+        """Every (rule name, guard) a fresh matching pass would fire now,
+        halted flows aside.
 
         A quiescent engine must return []: all satisfiable matches are
         already evidenced by firings.
         """
-        with self._lock:
-            out = []
-            for rec in self.actions():
-                if not rec.is_completion:
-                    continue
-                for rule in self._visits(rec):
-                    for _frame, key in self._match_when(rule, rec):
-                        out.append((rule.sync.name, key))
-            return out
+        out = []
+        for rec in self.actions():
+            if not rec.is_completion or rec.flow in self.halted:
+                continue
+            for rule in self._visits(rec):
+                for _frame, key in self._match_when(rule, rec):
+                    out.append((rule.sync.name, key))
+        return out
 
     # -------------------------------------------------------------- recovery
 
@@ -590,8 +585,7 @@ class Engine:
         version = None
         records: dict[str, ActionRecord] = {}  # id -> record in log order, for lines that name ids
         completions: list[ActionRecord] = []  # since the last quiet mark
-        halted: set = set()
-        with self._lock, (open(path, "rb") if os.path.exists(path) else io.BytesIO()) as log:
+        with (open(path, "rb") if os.path.exists(path) else io.BytesIO()) as log:
             for pos, line in enumerate(log, start=1):
                 if not line.endswith(b"\n"):
                     warnings.warn(f"line {pos}: skipped {len(line)} bytes after the last newline",
@@ -612,7 +606,7 @@ class Engine:
                 doc = _read_doc(line, pos)
                 keys = doc.keys()
                 if keys == {"halt"} and isinstance(doc["halt"], str):
-                    halted.add(doc["halt"])
+                    self.halted.add(doc["halt"])
                     continue
                 try:
                     if keys == {"sync", "from", "then"}:
@@ -638,28 +632,24 @@ class Engine:
                 # invocations complete before anything is matched; the guards
                 # make the completions that already fired inert
                 pending = [rec for rec in records.values() if not rec.is_completion]
-                self.queue.extend(rec for rec in pending + completions if rec.flow not in halted)
+                self.queue.extend(rec for rec in pending + completions if rec.flow not in self.halted)
         return version
 
     # ------------------------------------------------------------ inspection
 
     def actions(self) -> list[ActionRecord]:
         """Every record, flow by flow in the order the flows began."""
-        with self._lock:
-            return [rec for flow in self.flows.values() for rec in flow.records.values()]
+        return [rec for flow in self.flows.values() for rec in flow.records.values()]
 
     def flow_records(self, flow: str) -> list[ActionRecord]:
-        with self._lock:
-            return list(self.flows.get(flow, _NO_FLOW).records.values())
+        return list(self.flows.get(flow, _NO_FLOW).records.values())
 
     def root_records(self) -> list[ActionRecord]:
         """Completions nothing caused: the external submissions, each the
         first record of its flow, in log order."""
-        with self._lock:
-            return [next(iter(flow.records.values())) for flow in self.flows.values()]
+        return [next(iter(flow.records.values())) for flow in self.flows.values()]
 
     def trace_flow(self, flow: str) -> FlowTrace:
         """The provenance DAG of one flow: records, firings, and rule labels."""
-        with self._lock:
-            held = self.flows.get(flow, _NO_FLOW)
-            return FlowTrace(flow, tuple(held.records.values()), tuple(held.firings.values()))
+        held = self.flows.get(flow, _NO_FLOW)
+        return FlowTrace(flow, tuple(held.records.values()), tuple(held.firings.values()))

@@ -37,7 +37,8 @@ from .engine import Engine, EngineError
 
 
 class Runtime:
-    """An engine that serves one external request at a time."""
+    """An engine that serves one external request at a time: how threads
+    share an engine, which has one caller at a time."""
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine

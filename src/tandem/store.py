@@ -10,7 +10,6 @@ same store always returns the same frame list.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from tandem.core import Nil, Quad, Ref, new_id, value_key, values_equal
@@ -107,10 +106,10 @@ _ATOMS = (str, int, bool, Ref, Nil)
 
 
 class QuadStore:
-    """Set of quads with per-graph indexes. Writes are serialized by a lock."""
+    """Set of quads with per-graph indexes. It belongs to one engine and, like
+    that engine, has one caller at a time; threads share both through Runtime."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         # graph -> subject -> predicate -> {value_key: object}
         self._spo: dict[str, dict[str, dict[str, dict]]] = {}
         # graph -> predicate -> value_key -> (object, set of subjects)
@@ -119,64 +118,60 @@ class QuadStore:
 
     def insert(self, quads) -> int:
         added = 0
-        with self._lock:
-            for q in quads:
-                if not isinstance(q.object, _ATOMS):
-                    raise ValueError(f"quad objects must be atoms, got {type(q.object).__name__}")
-                key = value_key(q.object)
-                objs = (
-                    self._spo.setdefault(q.graph, {})
-                    .setdefault(q.subject, {})
-                    .setdefault(q.predicate, {})
-                )
-                if key in objs:
-                    continue
-                objs[key] = q.object
-                entry = self._pos.setdefault(q.graph, {}).setdefault(q.predicate, {})
-                if key not in entry:
-                    entry[key] = (q.object, set())
-                entry[key][1].add(q.subject)
-                added += 1
-                self._count += 1
+        for q in quads:
+            if not isinstance(q.object, _ATOMS):
+                raise ValueError(f"quad objects must be atoms, got {type(q.object).__name__}")
+            key = value_key(q.object)
+            objs = (
+                self._spo.setdefault(q.graph, {})
+                .setdefault(q.subject, {})
+                .setdefault(q.predicate, {})
+            )
+            if key in objs:
+                continue
+            objs[key] = q.object
+            entry = self._pos.setdefault(q.graph, {}).setdefault(q.predicate, {})
+            if key not in entry:
+                entry[key] = (q.object, set())
+            entry[key][1].add(q.subject)
+            added += 1
+            self._count += 1
         return added
 
     def remove(self, quads) -> int:
         gone = 0
-        with self._lock:
-            for q in quads:
-                key = value_key(q.object)
-                try:
-                    del self._spo[q.graph][q.subject][q.predicate][key]
-                except KeyError:
-                    continue
-                obj, subs = self._pos[q.graph][q.predicate][key]
-                subs.discard(q.subject)
-                if not subs:
-                    del self._pos[q.graph][q.predicate][key]
-                gone += 1
-                self._count -= 1
+        for q in quads:
+            key = value_key(q.object)
+            try:
+                del self._spo[q.graph][q.subject][q.predicate][key]
+            except KeyError:
+                continue
+            obj, subs = self._pos[q.graph][q.predicate][key]
+            subs.discard(q.subject)
+            if not subs:
+                del self._pos[q.graph][q.predicate][key]
+            gone += 1
+            self._count -= 1
         return gone
 
     def __len__(self) -> int:
         return self._count
 
     def quads(self, graph: str | None = None) -> list[Quad]:
-        with self._lock:
-            out = []
-            for g, subs in self._spo.items():
-                if graph is not None and g != graph:
-                    continue
-                for s, preds in subs.items():
-                    for p, objs in preds.items():
-                        for o in objs.values():
-                            out.append(Quad(s, p, o, g))
-            out.sort(key=lambda q: (q.graph, q.subject, q.predicate, value_key(q.object)))
-            return out
+        out = []
+        for g, subs in self._spo.items():
+            if graph is not None and g != graph:
+                continue
+            for s, preds in subs.items():
+                for p, objs in preds.items():
+                    for o in objs.values():
+                        out.append(Quad(s, p, o, g))
+        out.sort(key=lambda q: (q.graph, q.subject, q.predicate, value_key(q.object)))
+        return out
 
     def match(self, graph: str, subject: str | None = None, predicate: str | None = None, obj=None):
         """Concrete-term lookup; None means wildcard. Returns matching quads."""
-        with self._lock:
-            return list(self._iter_matches(graph, subject, predicate, obj))
+        return list(self._iter_matches(graph, subject, predicate, obj))
 
     def _iter_matches(self, graph, subject, predicate, obj):
         subs = self._spo.get(graph, {})
@@ -215,8 +210,7 @@ class QuadStore:
         deduplicated and sorted by bound values, so evaluation order never
         shows through.
         """
-        with self._lock:
-            frames = self._extend(query.clauses, dict(seed) if seed else {})
+        frames = self._extend(query.clauses, dict(seed) if seed else {})
         seen = set()
         out = []
         for f in frames:
@@ -395,24 +389,35 @@ class GraphView:
 
     def set(self, subject: str, predicate: str, obj) -> None:
         """Replace whatever values (subject, predicate) had with one value."""
-        old = self._store.match(self._graph, subject, predicate)
-        self._store.remove(old)
+        self._store.remove(self._store.match(self._graph, subject, predicate))
         self.add(subject, predicate, obj)
 
     def remove(self, subject: str | None = None, predicate: str | None = None, obj=None) -> int:
         return self._store.remove(self._store.match(self._graph, subject, predicate, obj))
 
     def objects(self, subject: str, predicate: str) -> list:
-        vals = [q.object for q in self._store.match(self._graph, subject, predicate)]
-        vals.sort(key=value_key)
-        return vals
+        objs = self._store._spo.get(self._graph, {}).get(subject, {}).get(predicate, {})
+        return [objs[k] for k in sorted(objs)]
 
     def value(self, subject: str, predicate: str, default=None):
-        vals = self.objects(subject, predicate)
-        return vals[0] if vals else default
+        objs = self._store._spo.get(self._graph, {}).get(subject, {}).get(predicate, {})
+        return objs[min(objs)] if objs else default
 
     def subjects(self, predicate: str, obj=None) -> list[str]:
-        return sorted({q.subject for q in self._store.match(self._graph, None, predicate, obj)})
+        entries = self._store._pos.get(self._graph, {}).get(predicate, {})
+        if obj is None:
+            return sorted({s for _o, subs in entries.values() for s in subs})
+        _o, subs = entries.get(value_key(obj), (None, ()))
+        return sorted(subs)
 
     def has(self, subject: str | None = None, predicate: str | None = None, obj=None) -> bool:
-        return bool(self._store.match(self._graph, subject, predicate, obj))
+        # either index maps predicate -> value_key -> the object, or it with its subjects
+        if subject is None:
+            index = self._store._pos.get(self._graph, {})
+        else:
+            index = self._store._spo.get(self._graph, {}).get(subject, {})
+        tables = index.values() if predicate is None else [index.get(predicate, {})]
+        if obj is None:
+            return any(tables)
+        key = value_key(obj)
+        return any(key in table for table in tables)

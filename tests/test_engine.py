@@ -1,10 +1,10 @@
 """Engine behavior: matching, firing, provenance, recovery, tracing."""
 import gc
+import hashlib
 import json
 import os
 import random
 import tempfile
-import uuid
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from support import (
     ARTICLE_RULES,
     BOOM_WHERE,
+    EXTRA_RULES,
     FIXED_RULES,
+    GOLDEN_RULES,
     LOOP_SYNCS,
     ORIGINAL_RULES,
     all_firings,
@@ -26,9 +28,13 @@ from support import (
     responds,
     registered_token,
     run_flow,
+    run_golden,
     seed_article,
+    seeded_uuid4,
+    submit_request,
 )
-from tandem.concepts import load_builtin_spec, make_builtin_handle, slugify
+from tandem.cli import render_trace
+from tandem.concepts import load_builtin_spec, make_builtin_handle
 from tandem.core import NIL, Firing, Ref, qualify, to_jsonable
 from tandem.engine import (
     LOG_FORMAT,
@@ -275,6 +281,7 @@ def test_rule_loop_hits_step_limit():
     eng.submit_external("Web", "request", {"method": "loop"})
     with pytest.raises(EngineError, match="quiescence"):
         eng.run_to_quiescence()
+    assert eng.pending_matches() == []
 
 
 def _halted_loop(path):
@@ -323,6 +330,7 @@ def test_halted_flow_is_not_resumed(tmp_path, pending):
     eng2.close()
     assert path.stat().st_size == size  # the halted flow was neither matched nor dispatched
     assert normalize_actions(eng2.actions()) == normalize_actions(loaded.actions())
+    assert eng2.pending_matches() == []
 
 
 def _boom_engine(where: str) -> Engine:
@@ -347,6 +355,7 @@ def test_where_clause_that_raises_halts_its_flow(tmp_path, error):
     assert halts == [json.dumps({"halt": flow}, separators=(",", ":"))]
     later = run_flow(eng, register_payload())
     assert len(responds(eng, later)) == 1
+    assert eng.pending_matches() == []
     eng.close()
     # the log is not poisoned: a restart resumes it and runs clean
     eng2 = _boom_engine(where)
@@ -355,6 +364,7 @@ def test_where_clause_that_raises_halts_its_flow(tmp_path, error):
     eng2.run_to_quiescence()
     eng2.close()
     assert normalize_flows(eng2.actions()) == normalize_flows(eng.actions())
+    assert eng2.pending_matches() == []
 
 
 def test_log_left_without_a_halt_mark_halts_the_flow_once(tmp_path):
@@ -1230,56 +1240,24 @@ class ReferenceEngine(Engine):
     """Tries every rule on every completion, in registration order."""
 
     def step(self):
-        with self._lock:
-            if not self.queue:
-                return False
-            trigger = self.queue.popleft()
-            for sync in self.syncs:
-                for frame, key in _reference_when(self, sync, trigger):
-                    for inv in self._fire(self._compile(sync), frame, key, trigger.flow):
-                        self._dispatch(inv)
-            return True
-
-
-def _seeded_uuid4(seed):
-    """A uuid4 stand-in that mints the same ids, in the same order, per seed."""
-    rng = random.Random(seed)
-    return lambda: uuid.UUID(int=rng.getrandbits(128), version=4)
-
-
-def _submit(eng, users, kind, n):
-    """Submit one request of a kind; users maps user number -> registration flow."""
-    if kind in ("register", "short"):
-        flow = eng.submit_external("Web", "request", register_payload(
-            name=f"user{n}", email=f"user{n}@example.org",
-            password="short" if kind == "short" else "longenough1",
-        ))
-        users.setdefault(n, flow)  # a repeated registration is refused
-    elif kind == "article":
-        answered = responds(eng, users[n]) if n in users else []
-        user = respond_body(answered[0]).get("user", {}) if answered else {}
-        eng.submit_external("Web", "request", {
-            "method": "create_article", "title": f"Post {n}", "description": "d",
-            "body": "b", "token": user.get("token", "garbage"),
-        })
-    elif kind == "comment":
-        eng.submit_external("Web", "request", {
-            "method": "add_comment", "slug": slugify(f"Post {n}"), "author": f"user{n}", "body": "hm",
-        })
-    else:
-        eng.submit_external("Web", "request", {"method": "delete_article", "slug": slugify(f"Post {n}")})
+        if not self.queue:
+            return False
+        trigger = self.queue.popleft()
+        for sync in self.syncs:
+            for frame, key in _reference_when(self, sync, trigger):
+                for inv in self._fire(self._compile(sync), frame, key, trigger.flow):
+                    self._dispatch(inv)
+        return True
 
 
 def _drive(eng, ops):
     users = {}
     for kind, n, steps in ops:
-        _submit(eng, users, kind, n)
+        submit_request(eng, users, kind, n)
         for _ in range(steps):
             eng.step()
     eng.run_to_quiescence()
 
-
-_EXTRA_RULES = ("articles", "formatting", "moderation")
 
 _ops = st.lists(
     st.tuples(
@@ -1295,13 +1273,13 @@ _ops = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(ops=_ops, fixed=st.booleans())
 def test_indexed_matching_fires_like_the_reference(ops, fixed):
-    rules = (FIXED_RULES if fixed else ORIGINAL_RULES) + _EXTRA_RULES
+    rules = (FIXED_RULES if fixed else ORIGINAL_RULES) + EXTRA_RULES
     with tempfile.TemporaryDirectory() as tmp:
         logs = []
         for cls in (Engine, ReferenceEngine):
             # both engines mint the same ids, so equal firing order means equal logs
             path = Path(tmp) / f"{cls.__name__}.log"
-            with mock.patch("uuid.uuid4", _seeded_uuid4(0)):
+            with mock.patch("uuid.uuid4", seeded_uuid4(0)):
                 eng = build_engine(rules=rules, engine_cls=cls)
                 eng.attach_log(path)
                 _drive(eng, ops)
@@ -1312,6 +1290,41 @@ def test_indexed_matching_fires_like_the_reference(ops, fixed):
         assert normalize_actions(indexed.actions()) == normalize_actions(reference.actions())
         assert indexed.pending_matches() == []
         assert _reference_pending(indexed) == []
+
+
+# ------------------------------------------------------------- golden run
+
+_GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _state_digests(eng) -> dict:
+    traces = "".join(render_trace(eng.trace_flow(flow)) for flow in eng.flows)
+    return {"trace": _digest(traces.encode()), "quads": _digest(repr(eng.store.quads()).encode())}
+
+
+def test_golden_run_keeps_its_bytes(tmp_path):
+    # the digests of a fixed run: the log, then every flow's trace and the
+    # store, live and recovered both ways; any change to the bytes shows here
+    path = tmp_path / "run.log"
+    with mock.patch("uuid.uuid4", seeded_uuid4(0)):
+        eng = build_engine(rules=GOLDEN_RULES)
+        eng.attach_log(path)
+        run_golden(eng)
+    eng.close()
+    digests = {"log": _digest(path.read_bytes()), "live": _state_digests(eng)}
+    for resume, name in ((True, "resume"), (False, "load")):
+        eng2 = build_engine(rules=GOLDEN_RULES)
+        eng2.recover_from(path, resume=resume)
+        assert eng2.run_to_quiescence() == 0
+        digests[name] = _state_digests(eng2)
+    new = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    assert digests == json.loads(_GOLDEN.read_text()), (
+        f"the golden run's bytes changed; if that is meant, {_GOLDEN.name} becomes:\n{new}"
+    )
 
 
 # ------------------------------------------------- crash points across flows
@@ -1328,7 +1341,7 @@ def test_every_batch_boundary_recovers_the_flows_begun(flows):
         eng.attach_log(path)
         users = {}
         for kind, n in flows:
-            _submit(eng, users, kind, n)
+            submit_request(eng, users, kind, n)
             eng.run_to_quiescence()
         eng.close()
         lines = path.read_text().splitlines()

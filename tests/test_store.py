@@ -3,13 +3,14 @@
 The store evaluates where clauses as the engine compiles them: each concept
 pattern on its graph IRI and predicate IRIs. `pattern` builds one here.
 """
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandem.core import NIL, Quad, Ref, qualify
+from tandem.core import NIL, Quad, Ref, qualify, value_key
 from tandem.store import (
     Bind,
     Compare,
@@ -394,3 +395,52 @@ def test_graph_view_subjects_sorted():
     v.remove("uuid://u0")
     assert not v.has("uuid://u0", "app://member")
 
+
+
+VIEW_SUBJECTS = ["uuid://s0", "uuid://s1", "uuid://s2"]
+VIEW_PREDS = ["app://p0", "app://p1"]
+# 1 and True, "uuid://s0" and its Ref: equal to Python, distinct values here
+VIEW_OBJECTS = [0, 1, True, False, "a", "uuid://s0", Ref("uuid://s0"), NIL]
+view_op_st = st.tuples(
+    st.sampled_from(["add", "set", "remove"]),
+    st.sampled_from([USER_G, COMMENT_G]),
+    st.sampled_from(VIEW_SUBJECTS),
+    st.sampled_from(VIEW_PREDS),
+    st.sampled_from(VIEW_OBJECTS),
+    st.sampled_from(["subject", "predicate", "object"]),  # what a remove leaves open
+)
+
+
+def _keys(values) -> list:
+    return [value_key(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(view_op_st, max_size=25))
+def test_graph_view_reads_answer_as_the_quads_do(ops):
+    s = QuadStore()
+    views = {g: GraphView(s, g) for g in (USER_G, COMMENT_G)}
+    for op, g, subj, pred, obj, wild in ops:
+        if op == "remove":
+            views[g].remove(None if wild == "subject" else subj, None if wild == "predicate" else pred,
+                            None if wild == "object" else obj)
+        else:
+            getattr(views[g], op)(subj, pred, obj)
+    missing = object()
+    for g, v in views.items():
+        quads = s.quads(g)  # sorted by subject, predicate, then value_key of the object
+        for pred in VIEW_PREDS:
+            for subj in VIEW_SUBJECTS:
+                objs = [q.object for q in quads if q.subject == subj and q.predicate == pred]
+                assert _keys(v.objects(subj, pred)) == _keys(objs)
+                first = v.value(subj, pred, missing)
+                assert value_key(first) == value_key(objs[0]) if objs else first is missing
+            for obj in [None] + VIEW_OBJECTS:
+                hits = [q for q in quads if q.predicate == pred
+                        and (obj is None or value_key(q.object) == value_key(obj))]
+                assert v.subjects(pred, obj) == sorted({q.subject for q in hits})
+        for subj, pred, obj in itertools.product([None] + VIEW_SUBJECTS, [None] + VIEW_PREDS,
+                                                 [None] + VIEW_OBJECTS):
+            expected = any((subj is None or q.subject == subj) and (pred is None or q.predicate == pred)
+                           and (obj is None or value_key(q.object) == value_key(obj)) for q in quads)
+            assert v.has(subj, pred, obj) == expected, (subj, pred, obj)
