@@ -16,6 +16,7 @@ completes.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import uuid
@@ -224,11 +225,18 @@ def new_flow() -> str:
 
 def derive_id(base: str, salt: str) -> str:
     """Deterministic id derived from an existing id, for replay-stable minting."""
-    return "uuid://" + str(uuid.uuid5(uuid.NAMESPACE_URL, base + "#" + salt))
+    return "uuid://" + derive_token(base, salt)
+
+
+_URL_NAMESPACE = uuid.NAMESPACE_URL.bytes
+_VARIANT = dict(zip("0123456789abcdef", "89ab" * 4))
 
 
 def derive_token(base: str, salt: str) -> str:
-    return str(uuid.uuid5(uuid.NAMESPACE_URL, base + "#" + salt))
+    """str(uuid.uuid5(NAMESPACE_URL, base + "#" + salt)) without the UUID object:
+    SHA-1 of namespace and name, version nibble 5, variant bits 10 (_VARIANT)."""
+    x = hashlib.sha1(_URL_NAMESPACE + (base + "#" + salt).encode()).hexdigest()
+    return f"{x[:8]}-{x[8:12]}-5{x[13:16]}-{_VARIANT[x[16]]}{x[17:20]}-{x[20:32]}"
 
 
 def to_jsonable(value):
@@ -245,8 +253,10 @@ def to_jsonable(value):
 
 
 def from_jsonable(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, dict):
-        if set(value.keys()) == {"$ref"}:
+        if len(value) == 1 and "$ref" in value:
             return Ref(value["$ref"])
         return {k: from_jsonable(v) for k, v in value.items()}
     if isinstance(value, list):

@@ -226,7 +226,7 @@ def normalize_flows(records) -> list[tuple]:
 def _read_doc(line: bytes, pos: int) -> dict:
     try:
         doc = json.loads(line.decode())  # the log is utf-8; loads would sniff it per line
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise RecoveryError(f"unreadable log line: {exc}", pos)
     if not isinstance(doc, dict):
         raise RecoveryError("log line is not an object", pos)

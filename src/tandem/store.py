@@ -1,5 +1,10 @@
 """In-memory quad store and the query evaluator used by rule where-clauses.
 
+Concept state lives in two indexes per graph, subject -> predicate -> objects
+and predicate -> object -> subjects. A write goes straight to both and adds or
+drops one quad; a removal deletes every entry it empties. A Quad is only what
+quads() reads out.
+
 Queries are lists of clauses applied left to right over a set of frames
 (variable bindings): concept patterns, OPTIONAL blocks, BIND expressions,
 comparison filters, and NOT-EXISTS guards. A rule says `User: { ?u name: ?n }`
@@ -116,90 +121,43 @@ class QuadStore:
         self._pos: dict[str, dict[str, dict]] = {}
         self._count = 0
 
-    def insert(self, quads) -> int:
-        added = 0
-        for q in quads:
-            if not isinstance(q.object, _ATOMS):
-                raise ValueError(f"quad objects must be atoms, got {type(q.object).__name__}")
-            key = value_key(q.object)
-            objs = (
-                self._spo.setdefault(q.graph, {})
-                .setdefault(q.subject, {})
-                .setdefault(q.predicate, {})
-            )
-            if key in objs:
-                continue
-            objs[key] = q.object
-            entry = self._pos.setdefault(q.graph, {}).setdefault(q.predicate, {})
-            if key not in entry:
-                entry[key] = (q.object, set())
-            entry[key][1].add(q.subject)
-            added += 1
-            self._count += 1
-        return added
+    def insert(self, graph: str, subject: str, predicate: str, obj) -> int:
+        """Add one quad; 1 if it was new, 0 if the store held it already."""
+        if not isinstance(obj, _ATOMS):
+            raise ValueError(f"quad objects must be atoms, got {type(obj).__name__}")
+        key = value_key(obj)
+        objs = self._spo.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, {})
+        if key in objs:
+            return 0
+        objs[key] = obj
+        entry = self._pos.setdefault(graph, {}).setdefault(predicate, {})
+        if key in entry:
+            entry[key][1].add(subject)
+        else:
+            entry[key] = (obj, {subject})
+        self._count += 1
+        return 1
 
-    def remove(self, quads) -> int:
-        gone = 0
-        for q in quads:
-            key = value_key(q.object)
-            try:
-                del self._spo[q.graph][q.subject][q.predicate][key]
-            except KeyError:
-                continue
-            obj, subs = self._pos[q.graph][q.predicate][key]
-            subs.discard(q.subject)
-            if not subs:
-                del self._pos[q.graph][q.predicate][key]
-            gone += 1
-            self._count -= 1
-        return gone
+    def remove(self, graph: str, subject: str, predicate: str, obj) -> int:
+        """Drop one quad and every index entry it leaves empty; 1 if it was held."""
+        key = value_key(obj)
+        if key not in self._spo.get(graph, {}).get(subject, {}).get(predicate, {}):
+            return 0
+        _drop(self._spo, (graph, subject, predicate, key))
+        subjects = self._pos[graph][predicate][key][1]
+        subjects.discard(subject)
+        if not subjects:
+            _drop(self._pos, (graph, predicate, key))
+        self._count -= 1
+        return 1
 
     def __len__(self) -> int:
         return self._count
 
     def quads(self, graph: str | None = None) -> list[Quad]:
-        out = []
-        for g, subs in self._spo.items():
-            if graph is not None and g != graph:
-                continue
-            for s, preds in subs.items():
-                for p, objs in preds.items():
-                    for o in objs.values():
-                        out.append(Quad(s, p, o, g))
-        out.sort(key=lambda q: (q.graph, q.subject, q.predicate, value_key(q.object)))
-        return out
-
-    def match(self, graph: str, subject: str | None = None, predicate: str | None = None, obj=None):
-        """Concrete-term lookup; None means wildcard. Returns matching quads."""
-        return list(self._iter_matches(graph, subject, predicate, obj))
-
-    def _iter_matches(self, graph, subject, predicate, obj):
-        subs = self._spo.get(graph, {})
-        if subject is not None:
-            preds = subs.get(subject, {})
-            pred_items = [(predicate, preds.get(predicate, {}))] if predicate is not None else preds.items()
-            for p, objs in pred_items:
-                if obj is not None:
-                    key = value_key(obj)
-                    if key in objs:
-                        yield Quad(subject, p, objs[key], graph)
-                else:
-                    for o in objs.values():
-                        yield Quad(subject, p, o, graph)
-            return
-        pos = self._pos.get(graph, {})
-        pred_items = [(predicate, pos.get(predicate, {}))] if predicate is not None else pos.items()
-        for p, entry in pred_items:
-            if obj is not None:
-                key = value_key(obj)
-                if key in entry:
-                    o, ss = entry[key]
-                    for s in ss:
-                        yield Quad(s, p, o, graph)
-            else:
-                for o, ss in entry.values():
-                    for s in ss:
-                        yield Quad(s, p, o, graph)
+        out = [Quad(s, p, o, g) for g, subs in self._spo.items() if graph is None or g == graph
+               for s, preds in subs.items() for p, objs in preds.items() for o in objs.values()]
+        return sorted(out, key=lambda q: (q.graph, q.subject, q.predicate, value_key(q.object)))
 
     # ------------------------------------------------------------ queries
 
@@ -258,28 +216,39 @@ class QuadStore:
         raise QueryError(f"unknown clause type: {type(clause).__name__}")
 
     def _match_triple(self, graph, s_term, pred, o_term, frames):
+        by_subject = self._spo.get(graph, {})
+        entries = self._pos.get(graph, {}).get(pred, {})
         out = []
         for f in frames:
             s_val = f.get(s_term.name, _UNBOUND) if is_var(s_term) else s_term
             o_val = f.get(o_term.name, _UNBOUND) if is_var(o_term) else o_term
-            subject = None
             if s_val is not _UNBOUND:
                 subject = _as_subject(s_val)
                 if subject is None:
                     continue
-            obj = None if o_val is _UNBOUND else o_val
-            for q in self._iter_matches(graph, subject, pred, obj):
+                objs = by_subject.get(subject, {}).get(pred, {})
+                if o_val is _UNBOUND:
+                    hits = [(subject, o) for o in objs.values()]
+                else:
+                    key = value_key(o_val)
+                    hits = [(subject, objs[key])] if key in objs else []
+            elif o_val is _UNBOUND:
+                hits = [(s, o) for o, subjects in entries.values() for s in subjects]
+            else:
+                o, subjects = entries.get(value_key(o_val), (None, ()))
+                hits = [(s, o) for s in subjects]
+            for s, o in hits:
                 g = f
-                if is_var(s_term) and s_val is _UNBOUND:
+                if s_val is _UNBOUND:
                     g = dict(g)
-                    g[s_term.name] = Ref(q.subject)
+                    g[s_term.name] = Ref(s)
                 if is_var(o_term):
                     bound = g.get(o_term.name, _UNBOUND)
                     if bound is _UNBOUND:
                         if g is f:
                             g = dict(g)
-                        g[o_term.name] = q.object
-                    elif not values_equal(bound, q.object):
+                        g[o_term.name] = o
+                    elif not values_equal(bound, o):
                         continue  # same var bound twice in this triple must agree
                 out.append(g)
         return out
@@ -328,6 +297,15 @@ class QuadStore:
 
 
 _UNBOUND = object()
+
+
+def _drop(index: dict, path: tuple) -> None:
+    """Delete the entry at path in nested dicts, then each dict that leaves empty."""
+    if len(path) > 1:
+        _drop(index[path[0]], path[1:])
+        if index[path[0]]:
+            return
+    del index[path[0]]
 
 
 def _as_subject(value) -> str | None:
@@ -385,15 +363,23 @@ class GraphView:
         self._graph = graph
 
     def add(self, subject: str, predicate: str, obj) -> None:
-        self._store.insert([Quad(subject, predicate, obj, self._graph)])
+        self._store.insert(self._graph, subject, predicate, obj)
 
     def set(self, subject: str, predicate: str, obj) -> None:
         """Replace whatever values (subject, predicate) had with one value."""
-        self._store.remove(self._store.match(self._graph, subject, predicate))
+        objs = self._store._spo.get(self._graph, {}).get(subject, {}).get(predicate, {})
+        for old in list(objs.values()):
+            self._store.remove(self._graph, subject, predicate, old)
         self.add(subject, predicate, obj)
 
     def remove(self, subject: str | None = None, predicate: str | None = None, obj=None) -> int:
-        return self._store.remove(self._store.match(self._graph, subject, predicate, obj))
+        """Drop every quad of this graph that agrees with the given terms; None is a wildcard."""
+        by_subject = self._store._spo.get(self._graph, {})
+        key = None if obj is None else value_key(obj)
+        doomed = [(s, p, o) for s in (by_subject if subject is None else [subject])
+                  for p, objs in by_subject.get(s, {}).items() if predicate is None or p == predicate
+                  for k, o in objs.items() if key is None or k == key]
+        return sum(self._store.remove(self._graph, s, p, o) for s, p, o in doomed)
 
     def objects(self, subject: str, predicate: str) -> list:
         objs = self._store._spo.get(self._graph, {}).get(subject, {}).get(predicate, {})

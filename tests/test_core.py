@@ -1,5 +1,6 @@
-"""Value model, naming, and log line format."""
+"""Value model, naming, derived ids, and log line format."""
 import json
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from tandem.core import (
     Ref,
     canonical_value,
     completion_from_doc,
+    derive_id,
+    derive_token,
     firing_from_doc,
     firing_to_json,
     new_flow,
@@ -122,6 +125,16 @@ def test_values_equal_agrees_with_value_key(a, data):
     b = data.draw(st.one_of(st.just(a), _alike_st, st.just(a).map(lambda v: _lookalike(v, flip))))
     assert values_equal(a, b) == (value_key(a) == value_key(b))
     assert values_equal(b, a) == values_equal(a, b)
+
+
+# ---------------------------------------------------------------- derived ids
+
+@settings(max_examples=50, deadline=None)
+@given(base=st.text(max_size=40), salt=st.text(max_size=12))
+def test_derived_ids_are_uuid5_text(base, salt):
+    token = str(uuid.uuid5(uuid.NAMESPACE_URL, base + "#" + salt))
+    assert derive_token(base, salt) == token
+    assert derive_id(base, salt) == "uuid://" + token
 
 
 # ---------------------------------------------------------------- records

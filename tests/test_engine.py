@@ -639,6 +639,9 @@ def test_pre_change_edge_line_halts_at_that_line(tmp_path):
     assert err.value.position == 4
 
 
+# values the model does not have; a line that holds one anywhere is refused
+_FOREIGN = (("float", 1.5), ("null", None), ("int-past-64-bits", 2**64),
+            ("ref-no-scheme", {"$ref": "no-scheme"}))
 _COMPLETION = {"id": "uuid://x", "concept": "c://X", "name": "a", "flow": "f", "input": {}, "output": {}}
 _UNLOGGED = "uuid://ffffffff-ffff-4fff-bfff-ffffffffffff"  # sorts after every other id
 
@@ -659,6 +662,8 @@ def _first_join(lines):
     pytest.param("then", lambda f: [dict(f["then"][0], id=f["from"][0])], id="then-logged-id"),
     pytest.param("then", lambda f: [dict(f["then"][0], input=["a"])], id="then-input-list"),
     pytest.param("then", lambda f: [dict(f["then"][0], extra=1)], id="then-extra-key"),
+    *(pytest.param("then", lambda f, v=v: [dict(f["then"][0], input=dict(f["then"][0]["input"], x=v))],
+                   id=f"then-input-{name}") for name, v in _FOREIGN),
 ])
 def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
     lines = _registration_log(tmp_path / "run.log")
@@ -707,6 +712,10 @@ def _last_completion(lines):
     pytest.param(_set_line, lambda d: [dict(d, name="validate")], id="other-name"),
     pytest.param(_set_line, lambda d: [dict(d, concept=d["concept"].rsplit("/", 1)[0] + "/User")],
                  id="other-concept"),
+    *(pytest.param(_root_line, lambda d, v=v: [dict(d, input=dict(d["input"], x=v))], id=f"root-input-{name}")
+      for name, v in _FOREIGN),
+    *(pytest.param(_set_line, lambda d, v=v: [dict(d, output=dict(d["output"], x=v))], id=f"output-{name}")
+      for name, v in _FOREIGN),
 ])
 def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
     # a record line starts a flow under a new id and flow, or completes one
@@ -721,6 +730,20 @@ def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
     with pytest.raises(RecoveryError) as err:
         build_engine().recover_from(path)
     assert err.value.position == i + len(new)
+
+
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_deeply_nested_line_halts_at_it(tmp_path, depth):
+    # json, or on an interpreter with a deeper C stack limit from_jsonable,
+    # gives up on it with RecursionError, which is no ValueError
+    lines = _registration_log(tmp_path / "run.log")
+    root = dict(json.loads(lines[1]), id=_UNLOGGED, flow="another-flow", input={"x": "@"})
+    lines.append(json.dumps(root).replace('"@"', "[" * depth + "]" * depth))
+    path = tmp_path / "deep.log"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(RecoveryError) as err:
+        build_engine().recover_from(path)
+    assert err.value.position == len(lines)
 
 
 def test_repeated_firing_line_halts_at_the_repeat(tmp_path):

@@ -54,51 +54,61 @@ def user_quad(subject, prop, value):
     return Quad(subject, qualify(PREFIX, "User", prop), value, USER_G)
 
 
+def insert_all(store, quads) -> int:
+    """Insert each quad; how many were new."""
+    return sum(store.insert(q.graph, q.subject, q.predicate, q.object) for q in quads)
+
+
+def matching(store, graph, subject, predicate, obj) -> list:
+    return [q for q in store.quads(graph)
+            if (q.subject, q.predicate, value_key(q.object)) == (subject, predicate, value_key(obj))]
+
+
 # ---------------------------------------------------------------- store basics
 
 def test_insert_is_idempotent():
     s = QuadStore()
     q = user_quad("uuid://u1", "name", "alice")
-    assert s.insert([q]) == 1
-    assert s.insert([q]) == 0
+    assert s.insert(q.graph, q.subject, q.predicate, q.object) == 1
+    assert s.insert(q.graph, q.subject, q.predicate, q.object) == 0
     assert len(s) == 1
 
 
 def test_graph_scoping():
     s = QuadStore()
-    s.insert([Quad("uuid://u1", "app://p", 1, "app://g1"), Quad("uuid://u1", "app://p", 1, "app://g2")])
-    assert len(s.match("app://g1")) == 1
-    assert len(s.match("app://g2", "uuid://u1", "app://p", 1)) == 1
-    assert s.match("app://g3") == []
+    insert_all(s, [Quad("uuid://u1", "app://p", 1, "app://g1"), Quad("uuid://u1", "app://p", 1, "app://g2")])
+    assert len(s.quads("app://g1")) == 1
+    assert len(matching(s, "app://g2", "uuid://u1", "app://p", 1)) == 1
+    assert s.quads("app://g3") == []
 
 
 def test_remove():
     s = QuadStore()
     q = user_quad("uuid://u1", "name", "alice")
-    s.insert([q])
-    assert s.remove([q]) == 1
-    assert s.remove([q]) == 0
+    insert_all(s, [q])
+    assert s.remove(q.graph, q.subject, q.predicate, q.object) == 1
+    assert s.remove(q.graph, q.subject, q.predicate, q.object) == 0
     assert len(s) == 0
 
 
 def test_bool_and_int_objects_stay_distinct():
     s = QuadStore()
-    s.insert([Quad("uuid://x", "app://p", True, "app://g"), Quad("uuid://x", "app://p", 1, "app://g")])
+    insert_all(s, [Quad("uuid://x", "app://p", True, "app://g"), Quad("uuid://x", "app://p", 1, "app://g")])
     assert len(s) == 2
-    assert len(s.match("app://g", "uuid://x", "app://p", True)) == 1
+    assert len(matching(s, "app://g", "uuid://x", "app://p", True)) == 1
 
 
 def test_quad_objects_must_be_atoms():
     s = QuadStore()
     with pytest.raises(ValueError):
-        s.insert([Quad("uuid://x", "app://p", [1, 2], "app://g")])
+        s.insert("app://g", "uuid://x", "app://p", [1, 2])
 
 
 # ---------------------------------------------------------------- evaluation
 
 def test_single_frame_for_unique_name():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "name", "xavier"), user_quad("uuid://u2", "name", "yolanda")])
+    insert_all(s, [user_quad("uuid://u1", "name", "xavier"), user_quad("uuid://u2", "name", "yolanda")])
     q = Query((pattern("User", (Var("?u"), "name", "xavier")),))
     frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1")}]
@@ -110,7 +120,7 @@ def test_three_comments_oracle():
     expected = set()
     for i in range(3):
         cid = f"uuid://c{i}"
-        s.insert([Quad(cid, qualify(PREFIX, "Comment", "target"), post, COMMENT_G)])
+        insert_all(s, [Quad(cid, qualify(PREFIX, "Comment", "target"), post, COMMENT_G)])
         expected.add(cid)
     # independent oracle: enumerate raw quads and filter by hand
     oracle = {q.subject for q in s.quads(COMMENT_G) if q.object == post}
@@ -123,7 +133,8 @@ def test_three_comments_oracle():
 
 def test_join_across_patterns():
     s = QuadStore()
-    s.insert(
+    insert_all(
+        s,
         [
             user_quad("uuid://u1", "name", "alice"),
             user_quad("uuid://u1", "email", "a@x.io"),
@@ -142,7 +153,7 @@ def request_quad(subject, prop, value):
 def test_completion_guard_pattern():
     # a request with an output must not look pending
     s = QuadStore()
-    s.insert([
+    insert_all(s, [
         request_quad("uuid://r1", "input", Ref("uuid://u1")),
         request_quad("uuid://r1", "output", Ref("uuid://u1")),
     ])
@@ -155,13 +166,13 @@ def test_completion_guard_pattern():
     assert s.evaluate(pending) == []
     # without the output quad the same query finds it
     s2 = QuadStore()
-    s2.insert([request_quad("uuid://r1", "input", Ref("uuid://u1"))])
+    insert_all(s2, [request_quad("uuid://r1", "input", Ref("uuid://u1"))])
     assert s2.evaluate(pending) == [{"?a": Ref("uuid://r1"), "?in": Ref("uuid://u1")}]
 
 
 def test_optional_leaves_frame_when_unmatched():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "name", "alice")])
+    insert_all(s, [user_quad("uuid://u1", "name", "alice")])
     q = Query(
         (
             pattern("User", (Var("?u"), "name", Var("?n"))),
@@ -170,14 +181,14 @@ def test_optional_leaves_frame_when_unmatched():
     )
     frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice"}]
-    s.insert([user_quad("uuid://u1", "email", "a@x.io")])
+    insert_all(s, [user_quad("uuid://u1", "email", "a@x.io")])
     frames = s.evaluate(q)
     assert frames == [{"?u": Ref("uuid://u1"), "?n": "alice", "?e": "a@x.io"}]
 
 
 def test_coalesce_defaults_unbound_to_nil():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "name", "alice")])
+    insert_all(s, [user_quad("uuid://u1", "name", "alice")])
     q = Query(
         (
             pattern("User", (Var("?u"), "name", Var("?n"))),
@@ -191,7 +202,7 @@ def test_coalesce_defaults_unbound_to_nil():
 
 def test_bind_uuid_mints_one_ref_per_frame():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "name", "a"), user_quad("uuid://u2", "name", "b")])
+    insert_all(s, [user_quad("uuid://u1", "name", "a"), user_quad("uuid://u2", "name", "b")])
     q = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind(FuncCall("uuid"), "?fresh")))
     frames = s.evaluate(q)
     assert len(frames) == 2
@@ -202,7 +213,7 @@ def test_bind_uuid_mints_one_ref_per_frame():
 
 def test_bind_conflicting_rebind_kills_frame():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "name", "alice")])
+    insert_all(s, [user_quad("uuid://u1", "name", "alice")])
     q = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind("bob", "?n")))
     assert s.evaluate(q) == []
     q2 = Query((pattern("User", (Var("?u"), "name", Var("?n"))), Bind("alice", "?n")))
@@ -211,7 +222,7 @@ def test_bind_conflicting_rebind_kills_frame():
 
 def test_filter_comparisons():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "karma", 5), user_quad("uuid://u2", "karma", 50)])
+    insert_all(s, [user_quad("uuid://u1", "karma", 5), user_quad("uuid://u2", "karma", 50)])
     q = Query((pattern("User", (Var("?u"), "karma", Var("?k"))), Compare(Var("?k"), ">=", 10)))
     frames = s.evaluate(q)
     assert [f["?u"] for f in frames] == [Ref("uuid://u2")]
@@ -219,7 +230,7 @@ def test_filter_comparisons():
 
 def test_filter_unbound_variable_is_an_error():
     s = QuadStore()
-    s.insert([user_quad("uuid://u1", "karma", 5)])
+    insert_all(s, [user_quad("uuid://u1", "karma", 5)])
     q = Query((pattern("User", (Var("?u"), "karma", Var("?k"))), Compare(Var("?zzz"), ">", 1)))
     with pytest.raises(QueryError):
         s.evaluate(q)
@@ -228,7 +239,7 @@ def test_filter_unbound_variable_is_an_error():
 def test_results_are_sorted_and_deduplicated():
     s = QuadStore()
     for i in (3, 1, 2):
-        s.insert([user_quad(f"uuid://u{i}", "name", f"n{i}")])
+        insert_all(s, [user_quad(f"uuid://u{i}", "name", f"n{i}")])
     q = Query((pattern("User", (Var("?u"), "name", Var("?n"))),))
     frames = s.evaluate(q)
     assert frames == sorted(frames, key=frame_key)
@@ -328,9 +339,9 @@ pattern_query_st = st.lists(triple_st, min_size=1, max_size=3).map(
 @given(quads=st.lists(quad_st, max_size=10), extra=st.lists(quad_st, max_size=4), query=pattern_query_st)
 def test_monotonicity_without_negation(quads, extra, query):
     s = QuadStore()
-    s.insert(quads)
+    insert_all(s, quads)
     before = {frame_key(f) for f in s.evaluate(query)}
-    s.insert(extra)
+    insert_all(s, extra)
     after = {frame_key(f) for f in s.evaluate(query)}
     assert before <= after
 
@@ -339,7 +350,7 @@ def test_monotonicity_without_negation(quads, extra, query):
 @given(quads=st.lists(quad_st, max_size=10), query=pattern_query_st, data=st.data())
 def test_seed_consistency(quads, query, data):
     s = QuadStore()
-    s.insert(quads)
+    insert_all(s, quads)
     unseeded = s.evaluate(query)
     if not unseeded:
         return
@@ -357,11 +368,11 @@ def test_seed_consistency(quads, query, data):
 @given(quads=st.lists(quad_st, max_size=12), query=pattern_query_st, seed_int=st.integers(0, 2**16))
 def test_insert_order_does_not_matter(quads, query, seed_int):
     s1 = QuadStore()
-    s1.insert(quads)
+    insert_all(s1, quads)
     shuffled = list(quads)
     random.Random(seed_int).shuffle(shuffled)
     s2 = QuadStore()
-    s2.insert(shuffled)
+    insert_all(s2, shuffled)
     assert s1.evaluate(query) == s2.evaluate(query)
 
 
@@ -426,6 +437,11 @@ def test_graph_view_reads_answer_as_the_quads_do(ops):
                             None if wild == "object" else obj)
         else:
             getattr(views[g], op)(subj, pred, obj)
+    # the indexes hold exactly what the quads rebuild: a removal leaves no emptied entry
+    rebuilt = QuadStore()
+    insert_all(rebuilt, s.quads())
+    assert (s._spo, s._pos) == (rebuilt._spo, rebuilt._pos)
+    assert len(s) == len(s.quads())
     missing = object()
     for g, v in views.items():
         quads = s.quads(g)  # sorted by subject, predicate, then value_key of the object
