@@ -258,6 +258,8 @@ def from_jsonable(value):
     if isinstance(value, dict):
         if len(value) == 1 and "$ref" in value:
             return Ref(value["$ref"])
+        if "" in value:  # json names are strings; of those, canonical_value refuses only this one
+            raise ValueError("record field names must be non-empty strings: ''")
         return {k: from_jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
         return [from_jsonable(v) for v in value] if value else NIL

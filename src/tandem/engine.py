@@ -50,7 +50,9 @@ log shows complete, as in ARIES). A log without marks re-matches every
 completion, which the firing guards make inert. Recovery only reads the
 log: bytes after its last newline, a write a crash cut short, are skipped
 with a RuntimeWarning, and attach_log, the one writer, cuts them off before
-it appends.
+it appends. Nor does it build concept state: the handles of the completions
+it read re-run once, in log order, at the first step, submit_external,
+register_concept or read of store, so a load that only traces skips them.
 """
 
 from __future__ import annotations
@@ -238,6 +240,9 @@ class Engine:
 
     An engine, its store with it, has one caller at a time; threads that
     share one go through a Runtime, which admits one request at a time.
+    Recovered concept state is built at the first step, submit_external,
+    register_concept or read of store; a handle reached through concepts
+    sees it only after that.
     """
 
     def __init__(
@@ -249,7 +254,8 @@ class Engine:
         self.prefix = prefix
         self.version = version
         self.step_limit = step_limit
-        self.store = QuadStore()
+        self._store = QuadStore()
+        self._unreplayed: list[ActionRecord] = []  # recovered completions, handles not yet re-run
         # concept iri -> (spec, handle, overloads), the overloads built at
         # registration: action -> [(frozenset of input names, open input), ...]
         self.concepts: dict[str, tuple[ConceptSpec, object, dict]] = {}
@@ -263,14 +269,27 @@ class Engine:
         self.halted: set = set()  # flows given up on, live or in the log: never matched again
         self._log = None
 
+    @property
+    def store(self) -> QuadStore:
+        """Concept state, the recovered completions replayed into it first."""
+        self._replay()
+        return self._store
+
+    def _replay(self) -> None:
+        """Re-run each recovered completion's handle, in log order; the logged outputs stand."""
+        unreplayed, self._unreplayed = self._unreplayed, []
+        for rec in unreplayed:
+            self._run_handle(rec)
+
     # ------------------------------------------------------------- assembly
 
     def register_concept(self, spec: ConceptSpec, handle, bootstrap: bool = False) -> None:
+        self._replay()  # a recovered completion of this concept stays an unknown-concept error
         ns = self._namespace(spec.name)
         if ns.base in self.concepts:
             raise EngineError(f"concept already registered: {spec.name}")
         validate_against(spec, self.prefix)
-        handle.attach(GraphView(self.store, ns.graph), ns)
+        handle.attach(GraphView(self._store, ns.graph), ns)
         overloads: dict = {}
         for sig in spec.actions:
             declared = frozenset(f for f, _ in sig.inputs)
@@ -407,6 +426,8 @@ class Engine:
             )
         # a value the log cannot read back is refused before it is logged
         inputs = canonical_value(dict(inputs))
+        if self._unreplayed:
+            self._replay()
         flow = new_flow()
         self.flows[flow] = Flow({}, {})
         self._dispatch(ActionRecord(new_id(), qualify(self.prefix, concept), action, flow, inputs))
@@ -473,7 +494,7 @@ class Engine:
         frames = [frame]
         if rule.where is not None:
             try:
-                frames = self.store.evaluate(rule.where, seed=frame)
+                frames = self._store.evaluate(rule.where, seed=frame)
                 if rule.eachthen:
                     frames = group_by_eachthen(frames)
             except (QueryError, GroupingError) as exc:
@@ -508,6 +529,8 @@ class Engine:
     def step(self) -> bool:
         """Process one queued record: match a completion against the rules,
         or dispatch an invocation recovery queued. False when it is empty."""
+        if self._unreplayed:
+            self._replay()
         if not self.queue:
             return False
         trigger = self.queue.popleft()
@@ -565,8 +588,10 @@ class Engine:
     def recover_from(self, path, resume: bool = True) -> str | None:
         """Replay a log into this engine. The log is only read.
 
-        Concept state is rebuilt by re-running each completed action's
-        handle; the logged output stays authoritative. Each flow's records
+        Concept state is rebuilt by re-running each completed action's handle,
+        in log order, at the first step, submit_external, register_concept or
+        read of store, not here (a handle reached through concepts holds it
+        only then); the logged output stays authoritative. Each flow's records
         and firings come back into flows in log order, firing guards with
         them, so nothing already fired fires twice.
         A completion line without an input completes the invocation its
@@ -626,7 +651,7 @@ class Engine:
                 except Exception as exc:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 records[rec.id] = self.flows[rec.flow].records[rec.id] = rec
-                self._run_handle(rec)  # rebuilds state; the logged output stands
+                self._unreplayed.append(rec)
                 completions.append(rec)
             if resume:
                 # invocations complete before anything is matched; the guards

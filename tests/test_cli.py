@@ -292,6 +292,17 @@ def test_request_with_malformed_payload_is_refused(tmp_path, capsys):
     assert not (tmp_path / "run.log").exists()  # refused before the log is opened
 
 
+@pytest.mark.parametrize("body", ['{"": 1}', '{"user": {"x": {"": "y"}}}'], ids=["top", "nested"])
+def test_request_with_an_empty_field_name_is_refused(tmp_path, capsys, body):
+    path = write_config(tmp_path)
+    payload = tmp_path / "bad.json"
+    payload.write_text(body)
+    code, _, err = run_main(capsys, "-c", str(path), "request", "register", str(payload))
+    assert code == 1
+    assert err == "bad payload: record field names must be non-empty strings: ''\n"
+    assert not (tmp_path / "run.log").exists()
+
+
 @pytest.mark.parametrize("depth", [950, 100_000])
 def test_request_with_deeply_nested_payload_is_refused(tmp_path, capsys, depth):
     path = write_config(tmp_path)

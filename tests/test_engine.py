@@ -33,8 +33,8 @@ from support import (
     seeded_uuid4,
     submit_request,
 )
-from tandem.cli import render_trace
-from tandem.concepts import load_builtin_spec, make_builtin_handle
+from tandem.cli import AppConfig, _open_log, render_trace
+from tandem.concepts import BUILTINS, load_builtin_spec, make_builtin_handle
 from tandem.core import NIL, Firing, Ref, qualify, to_jsonable
 from tandem.engine import (
     LOG_FORMAT,
@@ -639,9 +639,11 @@ def test_pre_change_edge_line_halts_at_that_line(tmp_path):
     assert err.value.position == 4
 
 
-# values the model does not have; a line that holds one anywhere is refused
-_FOREIGN = (("float", 1.5), ("null", None), ("int-past-64-bits", 2**64),
-            ("ref-no-scheme", {"$ref": "no-scheme"}))
+# values and field names the model does not have, as fields to add to a
+# record; a line that holds one anywhere is refused
+_FOREIGN = (("float", {"x": 1.5}), ("null", {"x": None}), ("int-past-64-bits", {"x": 2**64}),
+            ("ref-no-scheme", {"x": {"$ref": "no-scheme"}}), ("empty-name", {"": 1}),
+            ("empty-name-nested", {"x": {"": 1}}))
 _COMPLETION = {"id": "uuid://x", "concept": "c://X", "name": "a", "flow": "f", "input": {}, "output": {}}
 _UNLOGGED = "uuid://ffffffff-ffff-4fff-bfff-ffffffffffff"  # sorts after every other id
 
@@ -662,7 +664,7 @@ def _first_join(lines):
     pytest.param("then", lambda f: [dict(f["then"][0], id=f["from"][0])], id="then-logged-id"),
     pytest.param("then", lambda f: [dict(f["then"][0], input=["a"])], id="then-input-list"),
     pytest.param("then", lambda f: [dict(f["then"][0], extra=1)], id="then-extra-key"),
-    *(pytest.param("then", lambda f, v=v: [dict(f["then"][0], input=dict(f["then"][0]["input"], x=v))],
+    *(pytest.param("then", lambda f, v=v: [dict(f["then"][0], input={**f["then"][0]["input"], **v})],
                    id=f"then-input-{name}") for name, v in _FOREIGN),
 ])
 def test_malformed_firing_line_halts_with_position(tmp_path, field, value):
@@ -712,9 +714,9 @@ def _last_completion(lines):
     pytest.param(_set_line, lambda d: [dict(d, name="validate")], id="other-name"),
     pytest.param(_set_line, lambda d: [dict(d, concept=d["concept"].rsplit("/", 1)[0] + "/User")],
                  id="other-concept"),
-    *(pytest.param(_root_line, lambda d, v=v: [dict(d, input=dict(d["input"], x=v))], id=f"root-input-{name}")
+    *(pytest.param(_root_line, lambda d, v=v: [dict(d, input={**d["input"], **v})], id=f"root-input-{name}")
       for name, v in _FOREIGN),
-    *(pytest.param(_set_line, lambda d, v=v: [dict(d, output=dict(d["output"], x=v))], id=f"output-{name}")
+    *(pytest.param(_set_line, lambda d, v=v: [dict(d, output={**d["output"], **v})], id=f"output-{name}")
       for name, v in _FOREIGN),
 ])
 def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
@@ -1067,6 +1069,108 @@ def test_store_holds_concept_state_only(tmp_path):
     eng2 = build_engine(rules=ARTICLE_RULES)
     eng2.recover_from(path, resume=False)
     assert eng2.store.quads() == eng.store.quads()
+
+
+# ------------------------------------------------------------ the replay gate
+
+def _mixed_log(path) -> Engine:
+    """The writer of the mixed history's log at path, closed."""
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    eng.close()
+    return eng
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_recovery_runs_no_handle_until_state_is_read(tmp_path, resume):
+    path = tmp_path / "run.log"
+    _mixed_log(path)
+    eng = build_engine(rules=ARTICLE_RULES)
+    with mock.patch.object(Engine, "_run_handle", autospec=True, side_effect=Engine._run_handle) as spy:
+        eng.recover_from(path, resume=resume)
+        assert spy.call_count == 0
+        eng.store
+        eng.store
+        replayed = [call.args[1] for call in spy.call_args_list]
+    # each once, in log order: the history's flows ran one after another
+    assert replayed == [rec for rec in eng.actions() if rec.is_completion]
+
+
+def _register_favorite(eng):
+    eng.register_concept(load_builtin_spec("Favorite"), make_builtin_handle("Favorite"))
+
+
+_GATES = {
+    "store": lambda eng: eng.store,
+    "run_to_quiescence": lambda eng: eng.run_to_quiescence(),
+    "submit_external": lambda eng: eng.submit_external("Web", "request", {"method": "nothing"}),
+    "register_concept": _register_favorite,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_GATES))
+def test_each_gate_finds_the_writers_state(tmp_path, gate):
+    path = tmp_path / "run.log"
+    writer = _mixed_log(path)
+    # recovery needs no rule, and the article rules read Favorite state
+    eng = build_engine(rules=(), concepts=[c for c in BUILTINS if c != "Favorite"])
+    eng.recover_from(path, resume=False)
+    assert eng._store.quads() == []
+    _GATES[gate](eng)
+    # a submission's own request is the one thing that is not the writer's
+    fresh = {rec.output["request"].iri for rec in eng.root_records() if rec.flow not in writer.flows}
+    assert [q for q in eng._store.quads() if q.subject not in fresh] == writer.store.quads()
+    assert len(fresh) == (gate == "submit_external")
+
+
+def test_recovered_article_clock_runs_on(tmp_path):
+    # the clock lives in the Article handle, not in the store
+    def create(eng, title):
+        flow = run_flow(eng, {"method": "create_article", "title": title, "description": "d",
+                              "body": "b", "token": registered_token(eng, f_user)})
+        (resp,) = responds(eng, flow)
+        return respond_body(resp)["article"]["createdAt"]
+
+    path = tmp_path / "run.log"
+    writer = build_engine(rules=ARTICLE_RULES)
+    writer.attach_log(path)
+    f_user, _ = seed_article(writer)
+    create(writer, "Second")
+    writer.close()
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.recover_from(path)
+    assert create(eng, "Third") == create(writer, "Third") == 3
+
+
+def test_open_log_leaves_nothing_to_replay(tmp_path):
+    path = tmp_path / "run.log"
+    writer = _mixed_log(path)
+    eng = build_engine(rules=ARTICLE_RULES)
+    _open_log(eng, AppConfig(log=path))
+    eng.close()
+    assert eng._unreplayed == []
+    assert eng._store.quads() == writer.store.quads()
+
+
+def test_failed_load_holds_the_state_of_the_lines_before_the_bad_one(tmp_path):
+    path = tmp_path / "run.log"
+    writer = build_engine(rules=ARTICLE_RULES)
+    writer.attach_log(path)
+    seed_article(writer, tags=["t"])
+    before = writer.store.quads()
+    lines = path.read_text().splitlines()
+    run_flow(writer, {"method": "add_comment", "slug": "intro-to-sync", "author": "alice", "body": "0"})
+    run_flow(writer, {"method": "delete_article", "slug": "intro-to-sync"})
+    writer.close()
+    rest = path.read_text().splitlines()[len(lines):]
+    bad = tmp_path / "bad.log"
+    bad.write_text("".join(line + "\n" for line in lines + ["{oops"] + rest))
+    eng = build_engine(rules=ARTICLE_RULES)
+    with pytest.raises(RecoveryError) as err:
+        eng.recover_from(bad)
+    assert err.value.position == len(lines) + 1
+    assert eng.store.quads() == before != writer.store.quads()
 
 
 def test_resume_completes_pending_invocations_in_place(tmp_path):

@@ -152,6 +152,8 @@ def test_where_clause_that_raises_gets_503_and_the_connection_serves_on():
     '{"x": 99999999999999999999999}',
     '{"x": {"$ref": "a://b"}}',
     '{"$ref": "nope"}',
+    '{"": 1}',
+    '{"user": {"": "x"}}',
     # nested past the bound, and at 100000 past what json.loads can parse
     pytest.param('{"x": ' + "[" * 950 + "]" * 950 + "}", id="nested-950"),
     pytest.param('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-100000"),
