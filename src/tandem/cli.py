@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .concepts import BUILTINS
-from .core import is_iri, to_jsonable
+from .core import NamingError, is_iri, to_jsonable
 from .engine import DEFAULT_PREFIX, Engine, EngineError, RecoveryError, normalize_flows
 from .gateway import Runtime, decode_payload, make_server, reply_parts
 from .speclang import SpecError, parse_concept
@@ -99,16 +99,16 @@ def assemble(cfg: AppConfig) -> Engine:
     for p in cfg.concepts:
         try:
             spec = parse_concept(p.read_text())
-        except SpecError as exc:
+            entry = BUILTINS.get(spec.name)
+            if entry is None:
+                raise ConfigError(f"no implementation for concept {spec.name}")
+            eng.register_concept(spec, entry[1](), bootstrap=(spec.name == cfg.bootstrap))
+        except (SpecError, NamingError) as exc:  # NamingError: a name an IRI cannot hold
             raise ConfigError(f"{p}: {exc}")
-        entry = BUILTINS.get(spec.name)
-        if entry is None:
-            raise ConfigError(f"no implementation for concept {spec.name}")
-        eng.register_concept(spec, entry[1](), bootstrap=(spec.name == cfg.bootstrap))
     for p in cfg.syncs:
         try:
             eng.register_syncs(parse_syncs(p.read_text()))
-        except SyncError as exc:
+        except (SyncError, NamingError) as exc:
             raise ConfigError(f"{p}: {exc}")
     if eng.bootstrap is None:
         raise ConfigError(f"bootstrap concept {cfg.bootstrap} is not among the configured concepts")

@@ -173,9 +173,9 @@ class Quad:
 
 
 class ActionRecord(NamedTuple):
-    """One action occurrence. Immutable; its completion is
-    rec._replace(output=...), as recovery rebuilds it from its input-free
-    line. Nothing is checked here: the engine mints its own records, and
+    """One action occurrence. Immutable; its completion is the same record
+    with its output, as recovery rebuilds it from its input-free line.
+    Nothing is checked here: the engine mints its own records, and
     record_from_doc and completion_from_doc check the rest."""
 
     id: str
@@ -260,7 +260,8 @@ def from_jsonable(value):
             return Ref(value["$ref"])
         if "" in value:  # json names are strings; of those, canonical_value refuses only this one
             raise ValueError("record field names must be non-empty strings: ''")
-        return {k: from_jsonable(v) for k, v in value.items()}
+        # a string, the commonest value, is returned here, not by a call
+        return {k: v if type(v) is str else from_jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
         return [from_jsonable(v) for v in value] if value else NIL
     return canonical_value(value)
@@ -306,13 +307,13 @@ def record_from_doc(doc: dict, completed: bool) -> ActionRecord:
     refused unless its keys and field types are those it is minted with."""
     if doc.keys() != (_ROOT_KEYS if completed else _INVOCATION_KEYS):
         raise ValueError("a record line holds exactly the keys of its kind")
-    rec = ActionRecord(
-        id=require_iri(doc["id"], "record id"),
-        concept=require_iri(doc["concept"], "concept iri"),
-        name=doc["name"],
-        flow=doc["flow"],
-        input=from_jsonable(doc["input"]),
-        output=from_jsonable(doc["output"]) if completed else None,
+    rec = ActionRecord(  # id, concept, name, flow, input, output
+        require_iri(doc["id"], "record id"),
+        require_iri(doc["concept"], "concept iri"),
+        doc["name"],
+        doc["flow"],
+        from_jsonable(doc["input"]),
+        from_jsonable(doc["output"]) if completed else None,
     )
     if not (isinstance(rec.name, str) and rec.name and isinstance(rec.flow, str) and rec.flow):
         raise NamingError("action name and flow token must be non-empty strings")
@@ -336,7 +337,7 @@ def completion_from_doc(doc: dict, records: dict) -> ActionRecord:
     output = from_jsonable(doc["output"])
     if not isinstance(output, dict):
         raise ValueError("a record's output is a record")
-    return inv._replace(output=output)
+    return ActionRecord(inv.id, inv.concept, inv.name, inv.flow, inv.input, output)
 
 
 def firing_to_json(sync: str, sources: tuple, invocations: list) -> str:

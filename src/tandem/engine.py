@@ -48,11 +48,13 @@ quiet mark, except those of halted flows, so a restart re-matches the
 unfinished tail instead of the whole history (redo from the last point the
 log shows complete, as in ARIES). A log without marks re-matches every
 completion, which the firing guards make inert. Recovery only reads the
-log: bytes after its last newline, a write a crash cut short, are skipped
-with a RuntimeWarning, and attach_log, the one writer, cuts them off before
-it appends. Nor does it build concept state: the handles of the completions
-it read re-run once, in log order, at the first step, submit_external,
-register_concept or read of store, so a load that only traces skips them.
+log, a line by one JSON scan, or by json.loads, which names the fault, when
+the scan does not end at its newline. Bytes after the last newline, a write
+a crash cut short, are skipped with a RuntimeWarning, and attach_log, the
+one writer, cuts them off before it appends. Nor does recovery build
+concept state: the handles of the completions it read re-run once, in log
+order, at the first step, submit_external, register_concept or read of
+store, so a load that only traces skips them.
 """
 
 from __future__ import annotations
@@ -225,9 +227,21 @@ def normalize_flows(records) -> list[tuple]:
     return sorted(tuple(normalize_actions(group)) for group in groups.values())
 
 
+_SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads ends in
+_HALT_KEYS = frozenset({"halt"})  # built once, not per line as set displays are
+_FIRING_KEYS = frozenset({"sync", "from", "then"})
+
+
 def _read_doc(line: bytes, pos: int) -> dict:
+    """A log line's object: one scan reads it, or json.loads if it does not end at the newline."""
     try:
-        doc = json.loads(line.decode())  # the log is utf-8; loads would sniff it per line
+        text = line.decode()  # the log is utf-8; loads would sniff it per line
+        try:
+            doc, end = _SCAN(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # loads says what is wrong
+            end = -1
+        if end != len(text) - 1:
+            doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise RecoveryError(f"unreadable log line: {exc}", pos)
     if not isinstance(doc, dict):
@@ -630,11 +644,11 @@ class Engine:
                     continue
                 doc = _read_doc(line, pos)
                 keys = doc.keys()
-                if keys == {"halt"} and isinstance(doc["halt"], str):
+                if keys == _HALT_KEYS and isinstance(doc["halt"], str):
                     self.halted.add(doc["halt"])
                     continue
                 try:
-                    if keys == {"sync", "from", "then"}:
+                    if keys == _FIRING_KEYS:
                         sync, sources, invocations = firing_from_doc(doc)
                         flow = self._check_firing(sync, sources, invocations, records)
                         _insert_firing(flow, sync, sources, invocations)

@@ -126,11 +126,20 @@ class QuadStore:
         if not isinstance(obj, _ATOMS):
             raise ValueError(f"quad objects must be atoms, got {type(obj).__name__}")
         key = value_key(obj)
-        objs = self._spo.setdefault(graph, {}).setdefault(subject, {}).setdefault(predicate, {})
+        # get, and a new level only on a miss: setdefault builds a throwaway {} on every hit
+        if (subjects := self._spo.get(graph)) is None:
+            subjects = self._spo[graph] = {}
+        if (preds := subjects.get(subject)) is None:
+            preds = subjects[subject] = {}
+        if (objs := preds.get(predicate)) is None:
+            objs = preds[predicate] = {}
         if key in objs:
             return 0
         objs[key] = obj
-        entry = self._pos.setdefault(graph, {}).setdefault(predicate, {})
+        if (preds := self._pos.get(graph)) is None:
+            preds = self._pos[graph] = {}
+        if (entry := preds.get(predicate)) is None:
+            entry = preds[predicate] = {}
         if key in entry:
             entry[key][1].add(subject)
         else:

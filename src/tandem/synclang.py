@@ -125,9 +125,10 @@ def _lex(text: str) -> list[Tok]:
             toks.append(Tok("var", text[i:j], line))
             i = j
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: int() reads decimal digits only, not "²"
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Tok("int", int(text[i:j]), line))
             i = j

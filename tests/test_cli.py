@@ -131,6 +131,32 @@ def test_assemble_requires_known_implementation(tmp_path):
         assemble(load_config(path))
 
 
+_WEB_SPEC = (DEFS / "web.concept").read_text()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    # both parsers take a letter like "é"; qualify refuses it in an IRI
+    ("web.concept", _WEB_SPEC.replace("    request [", "    r\u00e9quest ["),
+     "action name must be a plain identifier: 'r\u00e9quest'"),
+    ("bad.sync", 'sync A when { W\u00e9b/request: [ method: "x" ] => [ request: ?r ] }\n'
+                 "then { Web/respond: [ request: ?r ] }\n",
+     "concept name must be a plain identifier: 'W\u00e9b'"),
+    # refused when the concept is registered, after it parsed
+    ("web.concept", _WEB_SPEC.replace("    requests: set ref", "    requests: set ref\n    respond: set ref"),
+     "Web: 'respond' names both a state component and an action"),
+], ids=["action-name", "rule-concept-name", "state-and-action"])
+def test_bad_name_in_a_spec_or_rule_file_is_one_config_error_line(tmp_path, capsys, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    if name.endswith(".concept"):
+        path = write_config(tmp_path, concepts=str(bad), syncs="@builtin/errors.sync")
+    else:
+        path = write_config(tmp_path, syncs=str(bad))
+    code, out, err = run_main(capsys, "-c", str(path), "lint")
+    assert (code, out, err) == (1, "", f"config error: {bad}: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_shipped_demo_configs_assemble():
     for name in ("demo.conf", "fixed.conf"):
         eng = assemble(load_config(DEFS / name))

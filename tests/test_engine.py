@@ -43,6 +43,7 @@ from tandem.engine import (
     EngineError,
     RecoveryError,
     _match_fields,
+    _read_doc,
     normalize_actions,
     normalize_flows,
 )
@@ -616,6 +617,79 @@ def test_corrupt_line_halts_with_position(tmp_path):
     with pytest.raises(RecoveryError) as err:
         eng2.recover_from(path)
     assert err.value.position == 4
+
+
+def test_written_lines_load_without_json_loads(tmp_path, monkeypatch):
+    # each line the engine writes is one value and its newline: one scan reads
+    # it; a line the scan does not end at its newline is read again by loads
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    eng.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:-1] + b"\r\n"
+    crlf = tmp_path / "crlf.log"
+    crlf.write_bytes(b"".join(lines))
+    engines = build_engine(), build_engine()
+    loads, calls = json.loads, []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    engines[0].recover_from(path, resume=False)
+    assert calls == []
+    engines[1].recover_from(crlf, resume=False)
+    assert len(calls) == 1
+    assert normalize_flows(engines[1].actions()) == normalize_flows(eng.actions())
+
+
+def _read_doc_by_loads(line: bytes, pos: int):
+    """_read_doc as it was when json.loads read every line: the object, or the error's text."""
+    try:
+        doc = json.loads(line.decode())
+    except (ValueError, RecursionError) as exc:
+        return f"line {pos}: unreadable log line: {exc}"
+    return doc if isinstance(doc, dict) else f"line {pos}: log line is not an object"
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+_JSON_VALUES = (
+    _JSON_LEAVES
+    | st.lists(_JSON_LEAVES, max_size=2)
+    | st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=2)
+)
+
+
+@st.composite
+def _lines(draw):
+    """One line without its newline: an object or another value, padded or not,
+    with a second value after it or not, and cut short or not."""
+    objects = st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=3)
+    value = draw(objects if draw(st.integers(0, 3)) < 3 else _JSON_VALUES)
+    pad = st.text(" \t\r", max_size=2)
+    text = draw(pad) + json.dumps(value, ensure_ascii=draw(st.booleans())) + draw(pad)
+    if draw(st.integers(0, 3)) == 3:
+        text += draw(st.sampled_from(["", " "])) + json.dumps(draw(_JSON_LEAVES))
+    raw = text.encode()
+    if draw(st.integers(0, 3)) == 3:
+        raw = raw[:draw(st.integers(0, len(raw)))]  # perhaps inside a character
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=_lines(), pos=st.integers(1, 10_000))
+def test_read_doc_reads_what_json_loads_reads(line, pos):
+    expected = _read_doc_by_loads(line + b"\n", pos)
+    if isinstance(expected, str):
+        with pytest.raises(RecoveryError) as err:
+            _read_doc(line + b"\n", pos)
+        assert str(err.value) == expected
+    else:
+        # repr tells True from 1 and -0.0 from 0.0, as == does not
+        assert repr(_read_doc(line + b"\n", pos)) == repr(expected)
 
 
 def _registration_log(path):

@@ -434,6 +434,8 @@ def test_filter_and_not_exists_clauses():
      "unknown function"),
     ("sync A\nwhen { X/y: [ a: \"oops ] => [] }\nthen { X/y: [] }\n", "unterminated string"),
     ("sync A\nwhen { X/y: [ a: ? ] => [] }\nthen { X/y: [] }\n", "bare '?'"),
+    # "²" is a digit to str.isdigit, but int() cannot read it
+    ("sync A\nwhen { X/y: [ n: ² ] => [] }\nthen { X/y: [] }\n", "line 2: unexpected character '²'"),
     ("", "no sync definitions"),
 ])
 def test_parse_errors(src, fragment):
