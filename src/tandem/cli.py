@@ -103,12 +103,12 @@ def assemble(cfg: AppConfig) -> Engine:
             if entry is None:
                 raise ConfigError(f"no implementation for concept {spec.name}")
             eng.register_concept(spec, entry[1](), bootstrap=(spec.name == cfg.bootstrap))
-        except (SpecError, NamingError) as exc:  # NamingError: a name an IRI cannot hold
+        except (SpecError, NamingError, EngineError) as exc:  # a name an IRI cannot hold, a repeat
             raise ConfigError(f"{p}: {exc}")
     for p in cfg.syncs:
         try:
             eng.register_syncs(parse_syncs(p.read_text()))
-        except (SyncError, NamingError) as exc:
+        except (SyncError, NamingError, EngineError) as exc:
             raise ConfigError(f"{p}: {exc}")
     if eng.bootstrap is None:
         raise ConfigError(f"bootstrap concept {cfg.bootstrap} is not among the configured concepts")

@@ -13,6 +13,10 @@ flow's first completion, which no firing made, carries its input on its own
 line. A record read back is checked once: by record_from_doc if its line
 holds its input, else by completion_from_doc against the invocation it
 completes.
+
+Values have one codec each way. canonical_value admits every value, from a
+program, a request body or a log line, so the engine holds only what its log
+reads back as the same value; to_jsonable is the JSON image the log writes.
 """
 from __future__ import annotations
 
@@ -79,18 +83,24 @@ Value = object
 def canonical_value(value):
     """Normalize an incoming value into the closed Value sum.
 
-    Empty lists become NIL, tuples become lists, integral floats are
-    rejected along with every other float (the model has no floats).
+    Every value enters through here: a program's, a request body's and a
+    log line's alike. Empty lists become NIL, tuples become lists, a
+    one-field record {"$ref": iri} becomes the Ref it encodes (to_jsonable
+    writes a Ref so), and every float is rejected, integral or not (the
+    model has no floats).
     """
     # the commonest kinds first: strings, most leaves, then records
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
+        if "$ref" in value and len(value) == 1:
+            return Ref(value["$ref"])
+        # a loop, not a comprehension, which builds a function per call
         out = {}
         for k, v in value.items():
             if not isinstance(k, str) or not k:
                 raise ValueError(f"record field names must be non-empty strings: {k!r}")
-            out[k] = canonical_value(v)
+            out[k] = v if type(v) is str else canonical_value(v)
         return out
     if value is NIL or isinstance(value, (Ref, bool)):
         return value
@@ -240,7 +250,8 @@ def derive_token(base: str, salt: str) -> str:
 
 
 def to_jsonable(value):
-    """Lossless JSON image of a value. Refs become {"$ref": iri}, NIL becomes []."""
+    """Lossless JSON image of a value. Refs become {"$ref": iri}, NIL becomes [].
+    canonical_value reads it back."""
     if value is NIL:
         return []
     if isinstance(value, Ref):
@@ -252,33 +263,10 @@ def to_jsonable(value):
     return value
 
 
-def from_jsonable(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        if len(value) == 1 and "$ref" in value:
-            return Ref(value["$ref"])
-        if "" in value:  # json names are strings; of those, canonical_value refuses only this one
-            raise ValueError("record field names must be non-empty strings: ''")
-        # a string, the commonest value, is returned here, not by a call
-        return {k: v if type(v) is str else from_jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [from_jsonable(v) for v in value] if value else NIL
-    return canonical_value(value)
-
-
-def _json_default(value):
-    # called only for what json cannot encode itself, wherever it is nested
-    if value is NIL:
-        return []
-    if isinstance(value, Ref):
-        return {"$ref": value.iri}
-    raise TypeError(f"not a value: {value!r}")
-
-
-# one encoder for every log line: it maps values as to_jsonable does, without
-# the copy, and json.dumps with these separators would build one per call
-_LOG_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+# one encoder for every log line, and json.dumps with these separators would
+# build one per call; json calls to_jsonable only for what it cannot encode
+# itself, a Ref or NIL wherever it is nested, so the values are not copied
+_LOG_ENCODER = json.JSONEncoder(separators=(",", ":"), default=to_jsonable)
 
 
 def _record_doc(rec: ActionRecord, with_input: bool = True) -> dict:
@@ -312,8 +300,8 @@ def record_from_doc(doc: dict, completed: bool) -> ActionRecord:
         require_iri(doc["concept"], "concept iri"),
         doc["name"],
         doc["flow"],
-        from_jsonable(doc["input"]),
-        from_jsonable(doc["output"]) if completed else None,
+        canonical_value(doc["input"]),
+        canonical_value(doc["output"]) if completed else None,
     )
     if not (isinstance(rec.name, str) and rec.name and isinstance(rec.flow, str) and rec.flow):
         raise NamingError("action name and flow token must be non-empty strings")
@@ -334,7 +322,7 @@ def completion_from_doc(doc: dict, records: dict) -> ActionRecord:
         raise ValueError("a completion line completes a logged invocation that has no output yet")
     if (inv.concept, inv.name, inv.flow) != (doc["concept"], doc["name"], doc["flow"]):
         raise ValueError("a completion line repeats its invocation's concept, action and flow")
-    output = from_jsonable(doc["output"])
+    output = canonical_value(doc["output"])
     if not isinstance(output, dict):
         raise ValueError("a record's output is a record")
     return ActionRecord(inv.id, inv.concept, inv.name, inv.flow, inv.input, output)

@@ -48,13 +48,15 @@ quiet mark, except those of halted flows, so a restart re-matches the
 unfinished tail instead of the whole history (redo from the last point the
 log shows complete, as in ARIES). A log without marks re-matches every
 completion, which the firing guards make inert. Recovery only reads the
-log, a line by one JSON scan, or by json.loads, which names the fault, when
-the scan does not end at its newline. Bytes after the last newline, a write
-a crash cut short, are skipped with a RuntimeWarning, and attach_log, the
-one writer, cuts them off before it appends. Nor does recovery build
-concept state: the handles of the completions it read re-run once, in log
-order, at the first step, submit_external, register_concept or read of
-store, so a load that only traces skips them.
+log, every line alike, marks included: by one JSON scan, or by json.loads,
+which names the fault, when the scan does not end at its newline (a CRLF
+line end), and each value by canonical_value, which admits every value the
+engine holds, so the log reads back what was logged. Bytes after the last
+newline, a write a crash cut short, are skipped with a RuntimeWarning, and
+attach_log, the one writer, cuts them off before it appends. Nor does
+recovery build concept state: the handles of the completions it read
+re-run once, in log order, at the first step, submit_external,
+register_concept or read of store, so a load that only traces skips them.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ DEFAULT_PREFIX = "https://concepts.example/v0/"
 LOG_FORMAT = 2
 
 QUIET_LINE = '{"quiet":true}'
-_QUIET_BYTES = (QUIET_LINE + "\n").encode()
 
 
 class EngineError(Exception):
@@ -229,6 +230,7 @@ def normalize_flows(records) -> list[tuple]:
 
 _SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads ends in
 _HALT_KEYS = frozenset({"halt"})  # built once, not per line as set displays are
+_QUIET_KEYS = frozenset({"quiet"})
 _FIRING_KEYS = frozenset({"sync", "from", "then"})
 
 
@@ -419,12 +421,9 @@ class Engine:
                    for declared, open_input in overloads.get(rec.name, ())):
             return {"error": f"no matching overload: {name}/{rec.name}"}
         try:
-            out = handle.invoke(rec.name, rec.input, rec.id)
+            return handle.invoke(rec.name, rec.input, rec.id)
         except Exception as exc:  # a broken handle must not take the engine down
             return {"error": f"{name}/{rec.name} raised: {exc}"}
-        if not isinstance(out, dict):
-            return {"error": f"{name}/{rec.name} returned a non-record"}
-        return out
 
     # ------------------------------------------------------------- execution
 
@@ -440,6 +439,8 @@ class Engine:
             )
         # a value the log cannot read back is refused before it is logged
         inputs = canonical_value(dict(inputs))
+        if not isinstance(inputs, dict):
+            raise ValueError(f"an external submission's input is a record, not {inputs!r}")
         if self._unreplayed:
             self._replay()
         flow = new_flow()
@@ -530,6 +531,8 @@ class Engine:
     def _dispatch(self, inv: ActionRecord) -> None:
         try:
             out = canonical_value(self._run_handle(inv))
+            if not isinstance(out, dict):
+                raise ValueError("a non-record")
         except ValueError as exc:  # a value the log could not read back
             spec = self.concepts[inv.concept][0]
             out = {"error": f"{spec.name}/{inv.name} returned {exc}"}
@@ -623,7 +626,7 @@ class Engine:
         """
         version = None
         records: dict[str, ActionRecord] = {}  # id -> record in log order, for lines that name ids
-        completions: list[ActionRecord] = []  # since the last quiet mark
+        quiet = len(self._unreplayed)  # the _unreplayed index just after the last quiet mark
         with (open(path, "rb") if os.path.exists(path) else io.BytesIO()) as log:
             for pos, line in enumerate(log, start=1):
                 if not line.endswith(b"\n"):
@@ -639,11 +642,11 @@ class Engine:
                         raise RecoveryError(f"log format {fmt}, this build reads format {LOG_FORMAT}", 1)
                     version = head["version"]
                     continue
-                if line == _QUIET_BYTES:
-                    completions.clear()
-                    continue
                 doc = _read_doc(line, pos)
                 keys = doc.keys()
+                if keys == _QUIET_KEYS and doc["quiet"] is True:
+                    quiet = len(self._unreplayed)
+                    continue
                 if keys == _HALT_KEYS and isinstance(doc["halt"], str):
                     self.halted.add(doc["halt"])
                     continue
@@ -666,12 +669,12 @@ class Engine:
                     raise RecoveryError(f"bad action record: {exc}", pos)
                 records[rec.id] = self.flows[rec.flow].records[rec.id] = rec
                 self._unreplayed.append(rec)
-                completions.append(rec)
             if resume:
                 # invocations complete before anything is matched; the guards
                 # make the completions that already fired inert
                 pending = [rec for rec in records.values() if not rec.is_completion]
-                self.queue.extend(rec for rec in pending + completions if rec.flow not in self.halted)
+                unmatched = self._unreplayed[quiet:]  # the completions after the last quiet mark
+                self.queue.extend(rec for rec in pending + unmatched if rec.flow not in self.halted)
         return version
 
     # ------------------------------------------------------------ inspection

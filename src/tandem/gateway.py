@@ -32,7 +32,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .core import from_jsonable, to_jsonable
+from .core import canonical_value, to_jsonable
 from .engine import Engine, EngineError
 
 
@@ -114,7 +114,7 @@ def decode_payload(doc) -> dict:
         raise ValueError(_TOO_DEEP)
     if isinstance(doc, dict) and len(doc) == 1 and isinstance(next(iter(doc.values())), dict):
         doc = next(iter(doc.values()))
-    payload = from_jsonable(doc)
+    payload = canonical_value(doc)
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
     return payload

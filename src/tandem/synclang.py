@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from tandem.core import NIL, Ref
+from tandem.core import NIL, Ref, canonical_value
 from tandem.speclang import ConceptSpec
 from tandem.store import (
     Bind,
@@ -130,7 +130,11 @@ def _lex(text: str) -> list[Tok]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(Tok("int", int(text[i:j]), line))
+            try:  # one past 64 bits is refused here, not when the log reads it back
+                value = canonical_value(int(text[i:j]))
+            except ValueError as exc:
+                raise SyncParseError(str(exc), line)
+            toks.append(Tok("int", value, line))
             i = j
             continue
         if c.isalpha() or c == "_":

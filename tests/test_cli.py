@@ -157,6 +157,21 @@ def test_bad_name_in_a_spec_or_rule_file_is_one_config_error_line(tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["sync", "concept"])
+def test_rule_or_concept_registered_twice_is_one_config_error_line(tmp_path, capsys, kind):
+    if kind == "sync":
+        copy = tmp_path / "errors-copy.sync"
+        copy.write_text((DEFS / "errors.sync").read_text())
+        path = write_config(tmp_path, syncs=f"@builtin/errors.sync, {copy}")
+        line = f"config error: {copy}: sync already registered: RegistrationError\n"
+    else:
+        path = write_config(tmp_path, concepts="@builtin/web.concept, @builtin/web.concept", syncs="")
+        line = f"config error: {DEFS / 'web.concept'}: concept already registered: Web\n"
+    code, out, err = run_main(capsys, "-c", str(path), "lint")
+    assert (code, out, err) == (1, "", line)
+    assert "Traceback" not in err
+
+
 def test_shipped_demo_configs_assemble():
     for name in ("demo.conf", "fixed.conf"):
         eng = assemble(load_config(DEFS / name))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandem.core import (
+    _LOG_ENCODER,
     NIL,
     ActionRecord,
     NamingError,
@@ -80,6 +81,48 @@ def test_canonical_value_rejects_floats_and_overflow():
         canonical_value(2**63)
     with pytest.raises(ValueError):
         canonical_value(None)
+
+
+# what a program, a request body or a log line may hand in: tuples, empty
+# lists, Refs, and one-field {"$ref": ...} records holding IRIs, other
+# strings and non-strings, among field names that may be "$ref" or empty
+_iri_st = st.sampled_from(["a://b", "uuid://u1", "x://"])
+_in_leaf_st = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.booleans(),
+    st.just(NIL),
+    _iri_st.map(Ref),
+    st.fixed_dictionaries({"$ref": st.one_of(_iri_st, st.text(max_size=4), st.integers(), st.just(NIL))}),
+)
+_in_value_st = st.recursive(
+    _in_leaf_st,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.sampled_from(["a", "b", "$ref", ""]), kids, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_in_value_st)
+def test_canonical_value_admits_only_what_the_log_reads_back(value):
+    try:
+        v = canonical_value(value)
+    except ValueError:
+        return
+    assert values_equal(canonical_value(json.loads(_LOG_ENCODER.encode(v))), v)
+
+
+def test_one_field_ref_record_is_the_ref_it_encodes():
+    assert canonical_value({"$ref": "a://b"}) == Ref("a://b")
+    assert canonical_value({"who": {"$ref": "a://b"}}) == {"who": Ref("a://b")}
+    assert canonical_value({"$ref": "a://b", "x": 1}) == {"$ref": "a://b", "x": 1}
+    for bad in ("not an iri", 5, [], {"$ref": "a://b"}):
+        with pytest.raises(ValueError):
+            canonical_value({"note": {"$ref": bad}})
 
 
 def test_value_key_orders_across_types():

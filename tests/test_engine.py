@@ -158,6 +158,32 @@ def test_submitted_values_read_the_same_live_and_recovered(tmp_path):
     assert eng2.flow_records(flow) == eng.flow_records(flow)
 
 
+@pytest.mark.parametrize("inputs", [
+    {"method": "x", "note": {"$ref": "not an iri"}},
+    {"method": "x", "note": {"$ref": "a://b"}},
+    {"$ref": "a://b"},
+], ids=["non-iri-ref", "ref-field", "ref-as-input"])
+def test_ref_record_submitted_reads_the_same_recovered_or_is_refused(tmp_path, inputs):
+    # {"$ref": iri} is how the log writes a Ref: the engine admits it as one, or refuses it
+    path = tmp_path / "run.log"
+    eng = build_engine()
+    eng.attach_log(path)
+    run_flow(eng, register_payload())
+    size = path.stat().st_size
+    try:
+        flow = run_flow(eng, inputs)
+    except ValueError:
+        flow = None
+        assert path.stat().st_size == size
+    eng.close()
+    eng2 = build_engine()
+    eng2.recover_from(path, resume=False)
+    assert normalize_actions(eng2.actions()) == normalize_actions(eng.actions())
+    if flow is not None:
+        assert eng.flow_records(flow)[0].input["note"] == Ref("a://b")
+        assert eng2.flow_records(flow) == eng.flow_records(flow)
+
+
 def test_two_submissions_two_flows():
     eng = build_engine()
     f1 = eng.submit_external("Web", "request", {"method": "ping"})
@@ -274,6 +300,28 @@ def test_handle_output_of_no_value_becomes_error_completion(tmp_path):
     eng2 = engine()
     eng2.recover_from(path, resume=False)
     assert eng2.flow_records(flow) == eng.flow_records(flow)
+
+
+@pytest.mark.parametrize("output", [{"$ref": "a://b"}, ["x"]], ids=["ref", "list"])
+def test_handle_output_that_is_no_record_becomes_error_completion(output):
+    class Constant:
+        def attach(self, view, ns):
+            pass
+
+        def invoke(self, action, inputs, record_id):
+            return output
+
+    eng = build_engine(rules=())
+    eng.register_concept(parse_concept(
+        "concept Const\npurpose\n    to answer\nstate\n    xs: set ref\nactions\n"
+        "    go [ ... ] => [ ... ]\n        always the same\n"
+    ), Constant())
+    eng.register_syncs(parse_syncs(
+        'sync Ask when { Web/request: [ method: "ask" ] => [] } then { Const/go: [] }'
+    ))
+    flow = run_flow(eng, {"method": "ask"})
+    (go,) = [r for r in eng.flow_records(flow) if r.name == "go"]
+    assert go.output == {"error": "Const/go returned a non-record"}
 
 
 def test_rule_loop_hits_step_limit():
@@ -471,6 +519,50 @@ def test_quiescent_engine_has_no_pending_matches():
     before = len(eng.actions())
     assert eng.step() is False
     assert len(eng.actions()) == before
+
+
+TWO_FORMATS = """\
+sync Two when { Web/request: [ method: "two" ] => [ request: ?r ] }
+then { Web/format: [ type: "a" ; request: ?r ] Web/format: [ type: "b" ; request: ?r ] }
+sync Pair when { Web/format: [ request: ?r ] => [] Web/format: [ request: ?r ] => [] }
+then { Web/respond: [ request: ?r ; code: 200 ] }
+"""
+
+
+def test_rule_with_two_patterns_on_one_action_fires_once_per_pair(tmp_path):
+    # each format fills either pattern, never both; the pair's two orders
+    # share one guard, so the rule fires once
+    def engine():
+        eng = build_engine(rules=())
+        eng.register_syncs(parse_syncs(TWO_FORMATS))
+        return eng
+
+    path = tmp_path / "run.log"
+    eng = engine()
+    eng.attach_log(path)
+    flow = run_flow(eng, {"method": "two"})
+    eng.close()
+    pairs = [f for f in eng.trace_flow(flow).firings if f.sync == "Pair"]
+    assert len(pairs) == 1 and len(pairs[0].sources) == 2
+    assert len(responds(eng, flow)) == 1
+    assert eng.pending_matches() == []
+    eng2 = engine()
+    eng2.recover_from(path)
+    assert normalize_flows(eng2.actions()) == normalize_flows(eng.actions())
+    assert eng2.pending_matches() == []
+
+
+def test_nested_record_pattern_matches_a_record_not_a_string():
+    eng = build_engine(rules=())
+    eng.register_syncs(parse_syncs(
+        'sync Nested when { Web/request: [ method: "nest" ; who: [ name: ?n ] ] => [ request: ?r ] } '
+        "then { Web/respond: [ request: ?r ; name: ?n ] }"
+    ))
+    record = run_flow(eng, {"method": "nest", "who": {"name": "ann", "age": 3}})
+    (resp,) = responds(eng, record)
+    assert resp.input["name"] == "ann"
+    text = run_flow(eng, {"method": "nest", "who": "ann"})
+    assert responds(eng, text) == [] and eng.trace_flow(text).firings == ()
 
 
 def test_every_invocation_has_provenance():
@@ -1051,6 +1143,31 @@ def test_log_cut_inside_last_flow_queues_only_that_flow(tmp_path):
     eng2.run_to_quiescence()
     eng2.close()
     assert normalize_flows(eng2.actions()) == normalize_flows(eng.actions())
+
+
+def test_crlf_copy_of_a_log_recovers_the_same(tmp_path):
+    path = tmp_path / "run.log"
+    eng = build_engine(rules=ARTICLE_RULES)
+    eng.attach_log(path)
+    _mixed_history(eng)
+    start = len(path.read_text().splitlines())
+    run_flow(eng, register_payload(name="zed", email="zed@example.org"))
+    eng.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    # the last flow cut after its first firing: invocations pending, a completion unmatched
+    cut = next(i for i in range(start, len(lines)) if lines[i].startswith(b'{"sync"')) + 1
+    unfinished = tmp_path / "unfinished.log"
+    unfinished.write_bytes(b"".join(lines[:cut]))
+    crlf = tmp_path / "crlf.log"
+    for log in (path, unfinished):
+        crlf.write_bytes(log.read_bytes().replace(b"\n", b"\r\n"))
+        for resume in (False, True):
+            plain, copy = build_engine(rules=ARTICLE_RULES), build_engine(rules=ARTICLE_RULES)
+            plain.recover_from(log, resume=resume)
+            copy.recover_from(crlf, resume=resume)
+            assert normalize_flows(copy.actions()) == normalize_flows(plain.actions())
+            assert [rec.id for rec in copy.queue] == [rec.id for rec in plain.queue]
+    assert len(plain.queue) > 1  # the unfinished log leaves work to resume
 
 
 def test_log_without_marks_recovers_the_same(tmp_path):

@@ -195,9 +195,11 @@ def test_bad_json_is_rejected(served):
 
 
 def test_unknown_path_is_404(served):
-    _, base = served
+    eng, base = served
     status, _ = post(base, "/healthz", {})
     assert status == 404
+    assert post(base, "/api/", {}) == (404, {"error": "missing method"})
+    assert eng.actions() == []
 
 
 def test_one_connection_carries_request_after_request():
@@ -294,6 +296,14 @@ def test_unframeable_body_is_answered_and_runs_no_flow(served, framing, body, st
     assert names in doc["error"]
     assert b"\r\nConnection: close" in head
     assert eng.actions() == []
+
+
+def test_body_without_content_length_runs_as_empty(served):
+    eng, base = served
+    request = b"POST /api/nonsense HTTP/1.1\r\nHost: tandem\r\nConnection: close\r\n\r\n"
+    code, doc, _ = raw_exchange(base, request)
+    assert code == 504
+    assert [r.input for r in eng.flow_records(doc["flow"])] == [{"method": "nonsense"}]
 
 
 def test_submit_after_close_is_refused(tmp_path):

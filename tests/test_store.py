@@ -4,13 +4,14 @@ The store evaluates where clauses as the engine compiles them: each concept
 pattern on its graph IRI and predicate IRIs. `pattern` builds one here.
 """
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandem.core import NIL, Quad, Ref, qualify, value_key
+from tandem.core import NIL, Quad, Ref, qualify, value_key, values_equal
 from tandem.store import (
     Bind,
     Compare,
@@ -226,6 +227,31 @@ def test_filter_comparisons():
     q = Query((pattern("User", (Var("?u"), "karma", Var("?k"))), Compare(Var("?k"), ">=", 10)))
     frames = s.evaluate(q)
     assert [f["?u"] for f in frames] == [Ref("uuid://u2")]
+
+
+# small alphabets, so that equal values and look-alikes (1 and True) come up often
+_atom_st = st.one_of(
+    st.sampled_from(["", "a", "b"]),
+    st.integers(-2, 2),
+    st.booleans(),
+    st.sampled_from([Ref("uuid://a"), Ref("uuid://b")]),
+    st.just(NIL),
+)
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_atom_st, b=_atom_st, op=st.sampled_from(sorted(_ORDERED) + ["==", "!="]), literal=st.booleans())
+def test_filter_compares_as_value_key_orders(a, b, op, literal):
+    # a FILTER holds within a type as value_key orders, never across types for an
+    # ordered operator, and == and != follow values_equal, so 1 is not True
+    q = Query((Compare(Var("?a"), op, b if literal else Var("?b")),))
+    holds = QuadStore().evaluate(q, seed={"?a": a, "?b": b}) != []
+    if op in ("==", "!="):
+        assert holds == (values_equal(a, b) == (op == "=="))
+    else:
+        ka, kb = value_key(a), value_key(b)
+        assert holds == (ka[0] == kb[0] and _ORDERED[op](ka, kb))
 
 
 def test_filter_unbound_variable_is_an_error():

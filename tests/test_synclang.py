@@ -436,12 +436,41 @@ def test_filter_and_not_exists_clauses():
     ("sync A\nwhen { X/y: [ a: ? ] => [] }\nthen { X/y: [] }\n", "bare '?'"),
     # "²" is a digit to str.isdigit, but int() cannot read it
     ("sync A\nwhen { X/y: [ n: ² ] => [] }\nthen { X/y: [] }\n", "line 2: unexpected character '²'"),
+    # a string escapes only a quote and a backslash
+    ("sync A\nwhen { X/y: [ a: \"x\\ny\" ] => [] }\nthen { X/y: [] }\n", "line 2: bad escape \\n"),
     ("", "no sync definitions"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(SyncParseError) as exc:
         parse_syncs(src)
     assert fragment in str(exc.value)
+
+
+def test_escaped_quote_and_backslash_lex_and_print_back():
+    src = 'sync A\nwhen { X/y: [ a: "a\\"b\\\\c" ] => [] }\nthen { X/y: [] }\n'
+    (d,) = parse_syncs(src)
+    assert d.when[0].inputs == (("a", 'a"b\\c'),)
+    assert parse_syncs(print_syncs([d])) == [d]
+
+
+@pytest.mark.parametrize("literal, fits", [
+    ("9223372036854775807", True),
+    ("-9223372036854775808", True),
+    ("9223372036854775808", False),
+    ("-9223372036854775809", False),
+    ("99999999999999999999", False),
+])
+def test_int_literal_must_fit_64_bits(literal, fits):
+    # the log holds 64-bit integers only: a literal past them is refused at its line
+    src = f"sync A\nwhen {{ X/y: [] => [] }}\nthen {{\n    X/y: [ n: {literal} ] }}\n"
+    if fits:
+        (d,) = parse_syncs(src)
+        assert d.then[0].fields == (("n", int(literal)),)
+    else:
+        with pytest.raises(SyncParseError) as exc:
+            parse_syncs(src)
+        assert exc.value.line == 4
+        assert f"integer out of 64-bit range: {literal}" in str(exc.value)
 
 
 def test_parse_error_carries_line():
