@@ -4,6 +4,15 @@ A concept file declares a name with type parameters, a purpose, relational
 state components, action signatures split into overload cases, and an
 operational principle (an archetypal scenario that doubles as a test).
 Sections start at column zero; their bodies are indented.
+
+The file is read line by line: the header, the section names, the purpose,
+the state declarations, each action's prose and the principle's free text.
+An action signature `name [ a: T ; ... ] => [ b: U ]` and a principle step
+`after name [ f: v ] => [ g: w ]` are read as tokens instead, by the rule
+language's lexer and parser, from their first line to the first line that
+closes their brackets. So strings, escapes, integers and `#` comments read
+the same in both languages, and a principle value is a rule's literal or a
+bare name.
 """
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from tandem.core import Ref, derive_id, qualify, values_equal
+from tandem.synclang import SyncParseError, _lex, _Parser, _print_term
 
 BASE_TYPES = {"string", "boolean", "number", "flag", "date", "ref"}
 
@@ -81,86 +91,78 @@ class ConceptSpec:
 _HEADER_RE = re.compile(r"^concept\s+(\w+)\s*(?:\[([^\]]*)\])?\s*$")
 _SET_RE = re.compile(r"^(\w+)\s*:\s*set\s+(\w+)$")
 _REL_RE = re.compile(r"^(\w+)\s*:\s*(\w+)\s*->\s*(\w+)$")
-_SIG_START_RE = re.compile(r"^(\w+)\s*\[")
-_SIG_RE = re.compile(r"^(\w+)\s*\[(.*?)\]\s*=>\s*\[(.*?)\]$")
-_STEP_START_RE = re.compile(r"^(after|then|and)\s+(\w+)\s*\[")
-_STEP_RE = re.compile(r"^(after|then|and)\s+(\w+)\s*\[(.*?)\]\s*=>\s*\[(.*?)\]$")
-_FIELD_RE = re.compile(r"^(\w+)\s*:\s*(\w+)$")
-_INT_RE = re.compile(r"^-?\d+$")
-_STRING_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
-_LITERAL_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_SIG_START_RE = re.compile(r"^\w+\s*\[")
+_STEP_START_RE = re.compile(r"^(?:after|then|and)\s+\w+\s*\[")
 
 SECTIONS = ("purpose", "state", "actions", "operational principle")
 
 
-def _balanced(text: str) -> bool:
-    return text.count("[") == text.count("]")
+def _extent(body, i: int, what: str):
+    """A parser over the tokens of body[i] and of the lines after it, up to
+    the first line that closes every [ it opened and two at least, and the
+    index of the line after that."""
+    first = body[i][0]
+    toks: list = []
+    opened = closed = 0
+    while closed < max(opened, 2):
+        if i == len(body):
+            raise SpecParseError(f"unterminated {what}", first)
+        n, line = body[i]
+        i += 1
+        line_toks = _lex(line, n)
+        eof = line_toks.pop()
+        opened += line_toks.count(("punct", "[", n))
+        closed += line_toks.count(("punct", "]", n))
+        toks += line_toks
+    toks.append(eof)
+    return _Parser(toks), i
 
 
-def _blank_strings(text: str) -> str:
-    """text with each string literal's contents blanked, at the same length,
-    so brackets and separators are found without looking inside strings."""
-    return _LITERAL_RE.sub(lambda m: '"' + "_" * (len(m.group()) - 2) + '"', text)
+def _parse_actions(body) -> tuple:
+    actions = []
+    i = 0
+    while i < len(body):
+        n, line = body[i]
+        if not _SIG_START_RE.match(line):
+            raise SpecParseError(f"expected an action signature, got {line!r}", n)
+        p, i = _extent(body, i, "action signature")
+        name, inputs, outputs = p.parse_signature(lambda: p.parse_name("type name"), open_mark=True)
+        desc = []
+        while i < len(body) and not _SIG_START_RE.match(body[i][1]):
+            desc.append(body[i][1])
+            i += 1
+        # parse_record reads the open mark ... as None
+        actions.append(ActionSig(name, tuple(filter(None, inputs)), tuple(filter(None, outputs)),
+                                 None in inputs, None in outputs, tuple(desc)))
+    return tuple(actions)
 
 
-def _sig_complete(text: str) -> bool:
-    return _balanced(text) and "=>" in text and text.rstrip().endswith("]")
+def _scenario_term(p: _Parser):
+    """A principle field's value: a literal as a rule writes it, or a bare name."""
+    if p.cur.kind == "var" or p.at_punct("["):
+        p.fail(f"expected a literal or a bare name, got {p._show(p.cur)}")
+    return p.parse_term(Sym)
 
 
-def _split_fields(body: str, line: int):
-    """Split '[ a: T ; b: S ; ... ]' content into field pairs and an open flag."""
-    fields = []
-    open_mark = False
-    body = body.strip()
-    if not body:
-        return (), False
-    for part in body.split(";"):
-        part = part.strip()
-        if not part:
-            raise SpecParseError("empty field between semicolons", line)
-        if part == OPEN_MARK:
-            open_mark = True
+def _parse_principle(body) -> tuple:
+    steps = []
+    text: list[str] = []
+    i = 0
+    while i < len(body):
+        if not _STEP_START_RE.match(body[i][1]):
+            text.append(body[i][1])
+            i += 1
             continue
-        m = _FIELD_RE.match(part)
-        if not m:
-            raise SpecParseError(f"bad field declaration: {part!r}", line)
-        fields.append((m.group(1), m.group(2)))
-    return tuple(fields), open_mark
-
-
-def _parse_pattern_value(text: str, line: int):
-    text = text.strip()
-    m = _STRING_RE.match(text)
-    if m:
-        return m.group(1).replace('\\"', '"').replace("\\\\", "\\")
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if _INT_RE.match(text):
-        return int(text)
-    if re.match(r"^\w+$", text):
-        return Sym(text)
-    raise SpecParseError(f"bad pattern value: {text!r}", line)
-
-
-def _split_pattern_fields(body: str, line: int):
-    fields = []
-    body = body.strip()
-    if not body:
-        return ()
-    start = 0
-    for blanked in _blank_strings(body).split(";"):  # no split inside a string
-        part = body[start:start + len(blanked)].strip()
-        start += len(blanked) + 1
-        if ":" not in part:
-            raise SpecParseError(f"bad pattern field: {part!r}", line)
-        name, _, value = part.partition(":")
-        name = name.strip()
-        if not re.match(r"^\w+$", name):
-            raise SpecParseError(f"bad pattern field name: {name!r}", line)
-        fields.append((name, _parse_pattern_value(value, line)))
-    return tuple(fields)
+        if text:
+            steps.append(PrincipleStep(kind="text", text=" ".join(text)))
+            text = []
+        p, i = _extent(body, i, "principle step")
+        keyword = p.advance().value
+        action, inputs, outputs = p.parse_signature(lambda: _scenario_term(p))
+        steps.append(PrincipleStep("action", keyword, action, inputs, outputs))
+    if text:
+        steps.append(PrincipleStep(kind="text", text=" ".join(text)))
+    return tuple(steps)
 
 
 def parse_concept(text: str) -> ConceptSpec:
@@ -222,75 +224,13 @@ def parse_concept(text: str) -> ConceptSpec:
         seen_state.add(decl.name)
         state.append(decl)
 
-    actions = []
-    body = sections["actions"]
-    i = 0
-    while i < len(body):
-        n, line = body[i]
-        if not _SIG_START_RE.match(line):
-            raise SpecParseError(f"expected an action signature, got {line!r}", n)
-        buf = line
-        i += 1
-        while not _sig_complete(buf):
-            if i >= len(body):
-                raise SpecParseError("unterminated action signature", n)
-            buf += " " + body[i][1]
-            i += 1
-        m = _SIG_RE.match(buf)
-        if not m:
-            raise SpecParseError(f"bad action signature: {buf!r}", n)
-        inputs, open_in = _split_fields(m.group(2), n)
-        outputs, open_out = _split_fields(m.group(3), n)
-        desc = []
-        while i < len(body) and not _SIG_START_RE.match(body[i][1]):
-            desc.append(body[i][1])
-            i += 1
-        actions.append(ActionSig(m.group(1), inputs, outputs, open_in, open_out, tuple(desc)))
+    try:  # the rule lexer's and parser's messages, at this file's lines
+        actions = _parse_actions(sections["actions"])
+        principle = _parse_principle(sections.get("operational principle", ()))
+    except SyncParseError as exc:
+        raise SpecParseError(exc.message, exc.line) from None
 
-    principle = []
-    if "operational principle" in sections:
-        buf = None
-        buf_line = 0
-        text_buf: list[str] = []
-
-        def flush_text():
-            if text_buf:
-                principle.append(PrincipleStep(kind="text", text=" ".join(text_buf)))
-                text_buf.clear()
-
-        def flush_step():
-            nonlocal buf
-            if buf is None:
-                return
-            m = _STEP_RE.match(_blank_strings(buf))
-            if not m:
-                raise SpecParseError(f"bad principle step: {buf!r}", buf_line)
-            principle.append(
-                PrincipleStep(
-                    kind="action",
-                    keyword=m.group(1),
-                    action=m.group(2),
-                    inputs=_split_pattern_fields(buf[slice(*m.span(3))], buf_line),
-                    outputs=_split_pattern_fields(buf[slice(*m.span(4))], buf_line),
-                )
-            )
-            buf = None
-
-        for n, line in sections["operational principle"]:
-            if _STEP_START_RE.match(line):
-                flush_step()
-                flush_text()
-                buf = line
-                buf_line = n
-            elif buf is not None and not _sig_complete(_blank_strings(buf)):
-                buf += " " + line
-            else:
-                flush_step()
-                text_buf.append(line)
-        flush_step()
-        flush_text()
-
-    spec = ConceptSpec(name, params, purpose, tuple(state), tuple(actions), tuple(principle))
+    spec = ConceptSpec(name, params, purpose, tuple(state), actions, principle)
     _check_types(spec)
     return spec
 
@@ -315,13 +255,7 @@ def _print_fields(fields, open_mark: bool) -> str:
 
 
 def _print_pattern_value(value) -> str:
-    if isinstance(value, Sym):
-        return value.name
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)
+    return value.name if isinstance(value, Sym) else _print_term(value)
 
 
 def _print_pattern(fields) -> str:

@@ -6,11 +6,11 @@ emit (then). Where clauses compile straight to the store's query AST.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from tandem.core import NIL, Ref, canonical_value
-from tandem.speclang import ConceptSpec
 from tandem.store import (
     Bind,
     Compare,
@@ -30,6 +30,7 @@ class SyncError(Exception):
 class SyncParseError(SyncError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
 
 
@@ -71,97 +72,69 @@ class Tok(NamedTuple):
     line: int
 
 
-_PUNCT2 = ("=>", "!=", "<=", ">=", "==")
-_PUNCT1 = "{}[]():;,.=<>"
+# One alternation, tried in order where each token starts, the commonest
+# first. Blanks and a comment before it are skipped, a line end is counted,
+# the last group catches what the language refuses, and \Z ends the text.
+# \w is str.isalnum or "_" and \d is str.isdecimal, the digits int() reads,
+# so "²" is no digit.
+_TOKEN = re.compile(r"""
+    [ \t\r]* (?:\#[^\n]*)?
+    (?: ([!<>=]= | => | [{}\[\]():;,.=<>])
+      | (rdf:nil | [^\W\d]\w*(?:/[^\W\d]\w*)*)        # a name, or Concept/action
+      | (\n)
+      | ("[^"\\\n]*(?:\\["\\][^"\\\n]*)*")            # a string: \" and \\ escape
+      | (\?\w+)
+      | (-?\d+)
+      | ("[^"\\\n]*(?:\\["\\][^"\\\n]*)*\\[^"\\] | .)  # a bad escape, anything else
+      | \Z
+    )""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 
 
-def _lex(text: str) -> list[Tok]:
+def _refusal(token: str) -> str:
+    if token == '"':
+        return "unterminated string"
+    if token[0] == '"':  # the string up to its first bad escape
+        return f"bad escape {token[-2:]}"
+    if token == "?":
+        return "bare '?' is not a variable"
+    return f"unexpected character {token!r}"
+
+
+def _check_name(word: str, line: int) -> None:
+    """Each part of a name starts with a letter or "_", not with a digit
+    int() cannot read."""
+    for k, part in enumerate(word.split("/")):
+        if not (part[0].isalpha() or part[0] == "_"):
+            raise SyncParseError(f"unexpected character {'/' if k else part[0]!r}", line)
+
+
+def _lex(text: str, line: int = 1) -> list[Tok]:
     toks: list[Tok] = []
-    i, line = 0, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    append = toks.append
+    new = tuple.__new__  # the tuple Tok(...) builds, without its Python-level __new__
+    for punct, word, newline, string, var, number, refused in _TOKEN.findall(text):
+        if punct:
+            append(new(Tok, ("punct", punct, line)))
+        elif word:
+            if not word.isascii():
+                _check_name(word, line)
+            append(new(Tok, ("ident", word, line)))
+        elif newline:
             line += 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            toks.append(Tok("punct", text[i:i + 2], line))
-            i += 2
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    if esc not in '"\\':
-                        raise SyncParseError(f"bad escape \\{esc}", line)
-                    out.append(esc)
-                    j += 2
-                elif text[j] == "\n":
-                    raise SyncParseError("unterminated string", line)
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise SyncParseError("unterminated string", line)
-            toks.append(Tok("string", "".join(out), line))
-            i = j + 1
-            continue
-        if c == "?":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SyncParseError("bare '?' is not a variable", line)
-            toks.append(Tok("var", text[i:j], line))
-            i = j
-            continue
-        # isdecimal, not isdigit: int() reads decimal digits only, not "²"
-        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
+        elif string:
+            body = string[1:-1]
+            append(new(Tok, ("string", _ESCAPE.sub(r"\1", body) if "\\" in body else body, line)))
+        elif var:
+            append(new(Tok, ("var", var, line)))
+        elif number:
             try:  # one past 64 bits is refused here, not when the log reads it back
-                value = canonical_value(int(text[i:j]))
+                append(new(Tok, ("int", canonical_value(int(number)), line)))
             except ValueError as exc:
                 raise SyncParseError(str(exc), line)
-            toks.append(Tok("int", value, line))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            segments = 0
-            while True:
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                segments += 1
-                # qualified name: Concept/action
-                if j < n and text[j] == "/" and j + 1 < n and (text[j + 1].isalpha() or text[j + 1] == "_"):
-                    j += 1
-                    continue
-                break
-            word = text[i:j]
-            # the list-empty literal is written rdf:nil, no spaces
-            if word == "rdf" and text[j:j + 4] == ":nil":
-                word, j = "rdf:nil", j + 4
-            toks.append(Tok("ident", word, line))
-            i = j
-            continue
-        if c in _PUNCT1:
-            toks.append(Tok("punct", c, line))
-            i += 1
-            continue
-        raise SyncParseError(f"unexpected character {c!r}", line)
-    toks.append(Tok("eof", None, line))
+        elif refused:
+            raise SyncParseError(_refusal(refused), line)
+    append(new(Tok, ("eof", None, line)))
     return toks
 
 
@@ -171,17 +144,15 @@ class _Parser:
     def __init__(self, toks: list[Tok]) -> None:
         self.toks = toks
         self.pos = 0
-
-    @property
-    def cur(self) -> Tok:
-        return self.toks[self.pos]
+        self.cur = toks[0]
 
     def peek(self, ahead: int = 1) -> Tok:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
-    def advance(self) -> Tok:
+    def advance(self) -> Tok:  # never past eof: each caller checks the token first
         tok = self.cur
         self.pos += 1
+        self.cur = self.toks[self.pos]
         return tok
 
     def fail(self, message: str):
@@ -272,23 +243,37 @@ class _Parser:
         concept, _, action = name.partition("/")
         return concept, action
 
-    def parse_record(self) -> tuple:
+    def parse_name(self, what: str) -> str:
+        """A plain name: an identifier that is not Concept/action."""
+        if self.cur.kind != "ident":
+            self.fail(f"expected a {what}, got {self._show(self.cur)}")
+        name = str(self.advance().value)
+        if "/" in name:
+            raise SyncParseError(f"bad {what} {name!r}", self.toks[self.pos - 1].line)
+        return name
+
+    def parse_record(self, value=None, open_mark: bool = False) -> tuple:
+        """`[ f: v ; ... ]`, each value read by `value` (a rule term if none).
+        With `open_mark`, a field written `...` reads as None."""
         self.expect_punct("[")
         fields = []
         while not self.at_punct("]"):
             if fields:
                 self.expect_punct(";")
-            if self.cur.kind != "ident":
-                self.fail(f"expected a field name, got {self._show(self.cur)}")
-            fname = str(self.advance().value)
-            if "/" in fname:
-                raise SyncParseError(f"bad field name {fname!r}", self.toks[self.pos - 1].line)
+            if open_mark and self.at_punct("."):
+                for _ in "...":
+                    self.expect_punct(".")
+                fields.append(None)
+                continue
+            fname = self.parse_name("field name")
             self.expect_punct(":")
-            fields.append((fname, self.parse_term()))
+            fields.append((fname, value() if value else self.parse_term()))
         self.advance()
         return tuple(fields)
 
-    def parse_term(self):
+    def parse_term(self, bare=None):
+        """A literal, a ?variable or a nested record. `bare`, if given, reads
+        a bare name: a concept principle's scenario name."""
         tok = self.cur
         if tok.kind == "string" or tok.kind == "int":
             return self.advance().value
@@ -304,10 +289,27 @@ class _Parser:
             if word == "false":
                 self.advance()
                 return False
-            if word in ("nil", "rdf:nil"):
+            # a principle may name a scenario value nil: there rdf:nil alone is the empty list
+            if word == "rdf:nil" or word == "nil" and bare is None:
                 self.advance()
                 return NIL
+            if bare is not None and "/" not in word:
+                return bare(self.advance().value)
         self.fail(f"expected a value, got {self._show(tok)}")
+
+    # ----- concept specs
+
+    def parse_signature(self, value, open_mark: bool = False) -> tuple:
+        """`name [ f: v ; ... ] => [ g: w ]` and nothing after it: a concept
+        spec's action signature, or a principle step after its keyword.
+        `value` reads each field's value."""
+        name = self.parse_name("action name")
+        inputs = self.parse_record(value, open_mark)
+        self.expect_punct("=>")
+        outputs = self.parse_record(value, open_mark)
+        if self.cur.kind != "eof":
+            self.fail(f"expected the end of the line, got {self._show(self.cur)}")
+        return name, inputs, outputs
 
     # ----- where
 
@@ -378,12 +380,7 @@ class _Parser:
         while not self.at_punct("}"):
             subject = self.parse_term()
             while True:
-                if self.cur.kind != "ident":
-                    self.fail(f"expected a property name, got {self._show(self.cur)}")
-                prop = str(self.advance().value)
-                if "/" in prop:
-                    raise SyncParseError(f"bad property name {prop!r}",
-                                         self.toks[self.pos - 1].line)
+                prop = self.parse_name("property name")
                 self.expect_punct(":")
                 triples.append((subject, prop, self.parse_term()))
                 if self.at_punct(";"):
@@ -540,7 +537,7 @@ def _clause_bound_vars(clauses) -> set:
     return out
 
 
-def _field_allowed(spec: ConceptSpec, action: str, fname: str, side: str) -> bool:
+def _field_allowed(spec, action: str, fname: str, side: str) -> bool:
     for sig in spec.overloads(action):
         fields = sig.inputs if side == "input" else sig.outputs
         open_flag = sig.open_input if side == "input" else sig.open_output
@@ -550,12 +547,13 @@ def _field_allowed(spec: ConceptSpec, action: str, fname: str, side: str) -> boo
 
 
 def check_syncs(defs, specs) -> list[str]:
-    """Static diagnostics: names must exist, then-variables must be bound."""
+    """Static diagnostics: names must exist, then-variables must be bound.
+    `specs` are the concepts' parsed specs (speclang.ConceptSpec)."""
     by_name = {s.name: s for s in specs}
     diags: list[str] = []
     seen: set = set()
 
-    def check_action_ref(sync: str, concept: str, action: str, clause: str) -> ConceptSpec | None:
+    def check_action_ref(sync: str, concept: str, action: str, clause: str):
         spec = by_name.get(concept)
         if spec is None:
             diags.append(f"{sync}: unknown concept {concept!r} in {clause}")
@@ -565,13 +563,13 @@ def check_syncs(defs, specs) -> list[str]:
             return None
         return spec
 
-    def check_fields(sync: str, spec: ConceptSpec, action: str, fields, side: str, clause: str):
+    def check_fields(sync: str, spec, action: str, fields, side: str, clause: str):
         for fname, _ in fields:
             if not _field_allowed(spec, action, fname, side):
                 diags.append(f"{sync}: {concept_action(spec, action)} has no "
                              f"{side} field {fname!r} in {clause}")
 
-    def concept_action(spec: ConceptSpec, action: str) -> str:
+    def concept_action(spec, action: str) -> str:
         return f"{spec.name}/{action}"
 
     def check_state_clauses(sync: str, clauses):

@@ -902,7 +902,7 @@ def test_malformed_record_line_halts_at_it(tmp_path, line, edit):
 
 @pytest.mark.parametrize("depth", [2_000, 100_000])
 def test_deeply_nested_line_halts_at_it(tmp_path, depth):
-    # json, or on an interpreter with a deeper C stack limit from_jsonable,
+    # json, or on an interpreter with a deeper C stack limit canonical_value,
     # gives up on it with RecursionError, which is no ValueError
     lines = _registration_log(tmp_path / "run.log")
     root = dict(json.loads(lines[1]), id=_UNLOGGED, flow="another-flow", input={"x": "@"})

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tandem.core import Ref
+from tandem.core import NIL, Ref
 from tandem.speclang import (
     BASE_TYPES,
     ActionSig,
@@ -18,6 +18,7 @@ from tandem.speclang import (
     print_concept,
     validate_against,
 )
+from tandem.synclang import SyncParseError, parse_syncs
 
 # Three concept sources in the house style: credential storage, identity,
 # and public display info. They exercise multi-line signatures, overloads
@@ -220,6 +221,31 @@ def test_parse_open_field_marker():
     assert sig.inputs == (("method", "string"),)
 
 
+def _with_step(step: str) -> str:
+    """A one-action concept whose principle is `step`, at line 8."""
+    return ("concept A\npurpose\n    p\nstate\nactions\n"
+            "    go [ a: string ] => [ b: string ]\n"
+            f"operational principle\n    {step}\n")
+
+
+def test_signature_takes_a_trailing_comment():
+    spec = parse_concept("concept A\npurpose\n    p\nstate\nactions\n"
+                         "    go [ a: T ] => [ b: T ] # note\n        prose\n".replace("T", "string"))
+    (sig,) = spec.actions
+    assert (sig.inputs, sig.outputs) == ((("a", "string"),), (("b", "string"),))
+    assert sig.description == ("prose",)
+
+
+def test_principle_values_read_as_rule_literals():
+    # keywords in any case, rdf:nil, a negative integer and escapes read as in a rule;
+    # nil stays a scenario name, so every Sym a principle can hold prints back
+    spec = parse_concept(_with_step(
+        'after go [ a: TRUE ; b: rdf:nil ; c: nil ; d: -5 ; e: "q\\"b\\\\" ] => [] # note'))
+    assert spec.principle[0].inputs == (
+        ("a", True), ("b", NIL), ("c", Sym("nil")), ("d", -5), ("e", 'q"b\\'))
+    assert parse_concept(print_concept(spec)) == spec
+
+
 def test_parse_no_params_header():
     spec = parse_concept("concept Echo\npurpose\n    to echo\nstate\nactions\n")
     assert spec.params == ()
@@ -237,6 +263,32 @@ def test_parse_no_params_header():
      "duplicate state"),
     ("concept A [U, U]\npurpose\n    p\nstate\nactions\n", "duplicate type parameter"),
     ("concept A\nstate\nactions\n", "missing required section: purpose"),
+    # principle literals follow the rule lexer
+    (_with_step("after go [ a: 9223372036854775808 ] => []"),
+     "line 8: integer out of 64-bit range: 9223372036854775808"),
+    (_with_step("after go [ a: -9223372036854775809 ] => []"),
+     "line 8: integer out of 64-bit range: -9223372036854775809"),
+    (_with_step('after go [ a: "x\\ny" ] => []'), "line 8: bad escape \\n"),
+    (_with_step('after go [ a: "x ] => []'), "line 8: unterminated string"),
+    (_with_step("after go [ a: 'x' ] => []"), "line 8: unexpected character \"'\""),
+    # signatures and steps are read by the rule parser, with its messages
+    ("concept A\npurpose\n    p\nstate\nactions\n    go [ a: string ; ; b: string ] => []\n",
+     "line 6: expected a field name, got ';'"),
+    ("concept A\npurpose\n    p\nstate\nactions\n    go [ a string ] => []\n",
+     "line 6: expected ':', got 'string'"),
+    ("concept A\npurpose\n    p\nstate\nactions\n    go [ a: 1 ] => []\n",
+     "line 6: expected a type name, got 1"),
+    ("concept A\npurpose\n    p\nstate\nactions\n    go [ a: string ]\n    [ b: string ]\n",
+     "line 7: expected '=>', got '['"),
+    ("concept A\npurpose\n    p\nstate\nactions\n    go [] => [] and more\n",
+     "line 6: expected the end of the line, got 'and'"),
+    (_with_step("after go [ a: 1"), "line 8: unterminated principle step"),
+    (_with_step("after go [ a 1 ] => []"), "line 8: expected ':', got 1"),
+    (_with_step("after go [ 1: x ] => []"), "line 8: expected a field name, got 1"),
+    (_with_step("after go [ a: ?x ] => []"), "line 8: expected a literal or a bare name, got '?x'"),
+    (_with_step("after go [ a: x/y ] => []"), "line 8: expected a value, got 'x/y'"),
+    (_with_step("after go [ a: [ b: 1 ] ] => []"),
+     "line 8: expected a literal or a bare name, got '['"),
 ])
 def test_parse_errors(src, fragment):
     with pytest.raises(SpecError) as exc:
@@ -491,6 +543,46 @@ def _principle_with(value):
 @example(_principle_with('\\"#'))
 def test_print_then_parse_recovers_spec(spec):
     assert parse_concept(print_concept(spec)) == spec
+
+
+def _read_as_rule_and_principle(literal: str):
+    """What `literal` reads as in a rule's then field and in a principle step,
+    or the error each refuses it with."""
+    read = []
+    try:
+        (d,) = parse_syncs(f"sync A\nwhen {{ X/y: [] => [] }}\nthen {{\n    X/y: [ a: {literal} ] }}\n")
+        read.append(d.then[0].fields)
+    except SyncParseError as exc:
+        read.append(exc)
+    try:
+        read.append(parse_concept(_with_step(f"after go [ a: {literal} ] => []")).principle[0].inputs)
+    except SpecParseError as exc:
+        read.append(exc)
+    return read
+
+
+# the separators, brackets, comment mark and escapes of both languages
+_tricky = st.lists(st.sampled_from(['"', "\\", ";", "[", "]", "#", "=>", " ", "a"]),
+                   max_size=12).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tricky)
+def test_string_reads_back_the_same_in_a_rule_and_a_principle(value):
+    literal = '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    assert _read_as_rule_and_principle(literal) == [(("a", value),)] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-2 ** 63 - 3, -2 ** 63 + 3), st.integers(2 ** 63 - 4, 2 ** 63 + 2)))
+def test_integer_near_64_bits_reads_the_same_or_is_refused_by_both(value):
+    rule, principle = _read_as_rule_and_principle(str(value))
+    if -2 ** 63 <= value < 2 ** 63:
+        assert rule == principle == (("a", value),)
+    else:
+        assert isinstance(rule, SyncParseError) and isinstance(principle, SpecParseError)
+        assert str(rule) == f"line 4: integer out of 64-bit range: {value}"
+        assert str(principle) == f"line 8: integer out of 64-bit range: {value}"
 
 
 @settings(max_examples=60, deadline=None)
